@@ -389,7 +389,8 @@ def _log_bounds() -> list[tuple[float, float]]:
 
 
 def _descend(objective, start: Hyperparameters, gtol: float, maxiter: int):
-    """One quasi-Newton trajectory maximizing ``objective`` in log-space."""
+    """One quasi-Newton trajectory maximizing ``objective`` in log-space;
+    returns (theta, objective value, scipy result)."""
     def negated(log_theta):
         theta = Hyperparameters.from_log_vector(log_theta)
         try:
@@ -404,10 +405,11 @@ def _descend(objective, start: Hyperparameters, gtol: float, maxiter: int):
         jac=True,
         method="L-BFGS-B",
         bounds=_log_bounds(),
-        options={"maxiter": maxiter, "gtol": gtol, "ftol": 1e-14},
+        # ftol is relative; below ~1e-10 it drowns in the rounding noise of
+        # the objective's sum over n points and line searches fail spuriously.
+        options={"maxiter": maxiter, "gtol": gtol, "ftol": 1e-10},
     )
-    theta = Hyperparameters.from_log_vector(result.x)
-    return theta, -float(result.fun), int(result.nit), bool(result.success)
+    return Hyperparameters.from_log_vector(result.x), -float(result.fun), result
 
 
 def _sample_start(rng: np.random.Generator) -> Hyperparameters:
@@ -445,12 +447,14 @@ def optimize_mll(
     for _ in range(n_restarts):
         start = _sample_start(rng)
         try:
-            theta, value, nit, ok = _descend(problem.mll_and_grad, start, gtol, maxiter)
+            theta, value, result = _descend(problem.mll_and_grad, start, gtol, maxiter)
         except NumericalError:
-            trajectories.append({"value": None, "iterations": 0, "converged": False})
+            trajectories.append({"value": None, "iterations": 0, "nfev": 0,
+                                 "converged": False, "message": "factorization failed"})
             continue
-        trajectories.append({"value": value, "iterations": nit, "converged": ok,
-                             "theta": theta.to_dict()})
+        trajectories.append({"value": value, "iterations": int(result.nit),
+                             "nfev": int(result.nfev), "converged": bool(result.success),
+                             "message": str(result.message), "theta": theta.to_dict()})
         if best is None or value > best[1]:
             best = (theta, value)
     if best is None:
@@ -460,6 +464,7 @@ def optimize_mll(
         "n_restarts": n_restarts,
         "trajectories": trajectories,
         "total_iterations": sum(t["iterations"] for t in trajectories),
+        "nfev": sum(t["nfev"] for t in trajectories),
         "best_value": best[1],
         "jitter_events": problem.jitter_events,
         "wall_time": time.perf_counter() - t0,
@@ -484,15 +489,17 @@ def optimize_map(
     problem = MllProblem(inputs, targets, sq_diffs=sq_diffs)
     start = start or priors.start_point()
     t0 = time.perf_counter()
-    theta, value, nit, ok = _descend(
+    theta, value, result = _descend(
         lambda th: problem.log_posterior_and_grad(th, priors), start, gtol, maxiter
     )
     diagnostics = {
         "method": "map",
         "start": start.to_dict(),
-        "total_iterations": nit,
+        "total_iterations": int(result.nit),
+        "nfev": int(result.nfev),
         "best_value": value,
-        "converged": ok,
+        "converged": bool(result.success),
+        "message": str(result.message),
         "jitter_events": problem.jitter_events,
         "wall_time": time.perf_counter() - t0,
     }

@@ -28,7 +28,6 @@ from scipy.ndimage import gaussian_filter
 from . import smx
 from .errors import ConfigError, DataError
 from .sampling import (
-    Design,
     ParameterSample,
     ParameterSpace,
     design,
@@ -109,57 +108,65 @@ class FieldSnapshot:
 
 @dataclass
 class SnapshotSet:
-    """A grid, N snapshots, and (optionally) their half-window companions."""
+    """A grid, N snapshots as the columns of one matrix, and their samples.
+
+    ``values`` is the (n_nodes, N) snapshot matrix, column-major like the
+    ``.smx`` payload; ``half`` holds the half-window companions in the same
+    layout. Column i of both belongs to ``samples[i]``.
+    """
 
     grid: Grid
-    snapshots: list[FieldSnapshot]
-    half_window: list[FieldSnapshot] | None = None
+    values: np.ndarray
+    samples: list[ParameterSample]
+    channel: str = "mean_concentration"
+    half: np.ndarray | None = None
     manifest: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.snapshots)
+        return len(self.samples)
 
     @property
-    def channel(self) -> str:
-        return self.snapshots[0].channel
+    def snapshots(self) -> list[FieldSnapshot]:
+        """Read-only per-column views of the full-window fields."""
+        return [FieldSnapshot(self.values[:, i], mu, self.channel)
+                for i, mu in enumerate(self.samples)]
 
     def matrix(self) -> np.ndarray:
-        """Snapshots stacked as columns: shape (n_nodes, N)."""
-        return np.column_stack([s.values for s in self.snapshots])
+        """Snapshots as columns: shape (n_nodes, N)."""
+        return self.values
 
     def half_matrix(self) -> np.ndarray:
-        if self.half_window is None:
+        if self.half is None:
             raise DataError("snapshot set has no half-window companions")
-        return np.column_stack([s.values for s in self.half_window])
+        return self.half
 
     def unit_inputs(self) -> np.ndarray:
-        return np.array([s.mu.unit for s in self.snapshots])
+        return np.array([mu.unit for mu in self.samples])
 
-    def subset(self, indices) -> "SnapshotSet":
-        indices = list(indices)
+    def subset(self, indices: range) -> "SnapshotSet":
+        """Columns ``indices`` as views of this set's matrices."""
+        cols = slice(indices.start, indices.stop, indices.step)
         return SnapshotSet(
             grid=self.grid,
-            snapshots=[self.snapshots[i] for i in indices],
-            half_window=None
-            if self.half_window is None
-            else [self.half_window[i] for i in indices],
+            values=self.values[:, cols],
+            samples=self.samples[cols],
+            channel=self.channel,
+            half=None if self.half is None else self.half[:, cols],
             manifest=dict(self.manifest),
         )
 
     def save(self, directory) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        smx.write_smx(directory / "full.smx", self.matrix(), self.grid.nx, self.grid.nz)
-        if self.half_window is not None:
-            smx.write_smx(
-                directory / "half.smx", self.half_matrix(), self.grid.nx, self.grid.nz
-            )
+        smx.write_smx(directory / "full.smx", self.values, self.grid.nx, self.grid.nz)
+        if self.half is not None:
+            smx.write_smx(directory / "half.smx", self.half, self.grid.nx, self.grid.nz)
         manifest = dict(self.manifest)
         manifest["grid"] = self.grid.to_dict()
         manifest["channel"] = self.channel
         manifest["n_snapshots"] = len(self)
-        manifest["has_half_window"] = self.half_window is not None
-        manifest["samples"] = [s.mu.to_dict() for s in self.snapshots]
+        manifest["has_half_window"] = self.half is not None
+        manifest["samples"] = [mu.to_dict() for mu in self.samples]
         with open(directory / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=1)
 
@@ -172,7 +179,11 @@ class SnapshotSet:
         full, nx, nz = smx.read_smx(directory / "full.smx")
         if (nx, nz) != (grid.nx, grid.nz):
             raise DataError("manifest grid disagrees with full.smx header")
-        space = ParameterSpace.from_dict(manifest["space"])
+        smx.require_finite(full, directory / "full.smx")
+        half = None
+        if manifest.get("has_half_window"):
+            half, _, _ = smx.read_smx(directory / "half.smx")
+            smx.require_finite(half, directory / "half.smx")
         samples = [
             ParameterSample(
                 unit=np.array(rec["unit"]),
@@ -181,26 +192,10 @@ class SnapshotSet:
             )
             for rec in manifest["samples"]
         ]
-        channel = manifest["channel"]
-        snapshots = [
-            FieldSnapshot(values=full[:, i], mu=samples[i], channel=channel)
-            for i in range(full.shape[1])
-        ]
-        half = None
-        if manifest.get("has_half_window"):
-            half_mat, _, _ = smx.read_smx(directory / "half.smx")
-            half = [
-                FieldSnapshot(
-                    values=half_mat[:, i],
-                    mu=samples[i],
-                    channel=channel,
-                    window_fraction=0.5,
-                )
-                for i in range(half_mat.shape[1])
-            ]
-        out = cls(grid=grid, snapshots=snapshots, half_window=half, manifest=manifest)
-        out.manifest.setdefault("space", space.to_dict())
-        return out
+        if full.shape[1] != len(samples) or (half is not None and half.shape != full.shape):
+            raise DataError(f"{directory}: snapshot matrices disagree with the manifest")
+        return cls(grid=grid, values=full, samples=samples,
+                   channel=manifest["channel"], half=half, manifest=manifest)
 
 
 def _sigmoid(v):
@@ -356,17 +351,13 @@ def generate_dataset(
     plan = design(space, n, start_index)
     u_tau_ref = reference_velocity(space, n_mc=100_000, seed=seed)
 
-    snapshots = []
-    half = []
-    for sample in plan.samples:
-        kwargs = dict(
-            space=space,
-            u_tau_ref=u_tau_ref,
-            noise_amplitude=noise_amplitude,
-            t_avg_periods=t_avg_periods,
-        )
-        snapshots.append(generate_field(sample, grid, channel, 1.0, seed, **kwargs))
-        half.append(generate_field(sample, grid, channel, 0.5, seed, **kwargs))
+    kwargs = dict(space=space, u_tau_ref=u_tau_ref, noise_amplitude=noise_amplitude,
+                  t_avg_periods=t_avg_periods)
+    full = np.empty((grid.n_nodes, n), order="F")
+    half = np.empty_like(full)
+    for i, sample in enumerate(plan.samples):
+        full[:, i] = generate_field(sample, grid, channel, 1.0, seed, **kwargs).values
+        half[:, i] = generate_field(sample, grid, channel, 0.5, seed, **kwargs).values
 
     manifest = {
         "generator_version": GENERATOR_VERSION,
@@ -379,4 +370,5 @@ def generate_dataset(
         "noise_amplitude": noise_amplitude,
         "t_avg_periods": t_avg_periods,
     }
-    return SnapshotSet(grid=grid, snapshots=snapshots, half_window=half, manifest=manifest)
+    return SnapshotSet(grid=grid, values=full, samples=plan.samples, channel=channel,
+                       half=half, manifest=manifest)

@@ -79,6 +79,7 @@ class ReducedBasis:
         with open(path.with_suffix(".json")) as fh:
             meta = json.load(fh)
         matrix, _, _ = smx.read_smx(path.with_suffix(".smx"))
+        smx.require_finite(matrix, path.with_suffix(".smx"))
         basis = cls(
             mean_field=matrix[:, 0],
             node_variance=matrix[:, 1],

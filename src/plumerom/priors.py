@@ -76,8 +76,7 @@ def noise_variances(basis, full_matrix, half_matrix) -> np.ndarray:
     from . import pod
 
     if hasattr(full_matrix, "matrix"):
-        if getattr(full_matrix, "half_window", None) is not None and half_matrix is None:
-            half_matrix = full_matrix.half_matrix()
+        half_matrix = full_matrix.half_matrix() if half_matrix is None else half_matrix
         full_matrix = full_matrix.matrix()
     if hasattr(half_matrix, "matrix"):
         half_matrix = half_matrix.matrix()

@@ -14,7 +14,6 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
-import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,17 +23,15 @@ import numpy as np
 from . import gpr, pod, priors, smx
 from .errors import ConfigError, DataError
 from .plume import Grid, SnapshotSet
-from .sampling import ParameterSample, ParameterSpace, to_physical
+from .sampling import ParameterSample, ParameterSpace, to_physical, to_unit
 
 DEFAULT_FRACTIONS = (0.63, 0.07, 0.30)
 METHODS = ("mll", "map", "prior")
-
-_GPB_MAGIC = b"GPB1"
-_GPB_HEADER = struct.Struct("<4sIII")
+MODEL_FORMAT = "plumerom-model-2"
 
 
 def _subset_hash(snapshot_set: SnapshotSet) -> str:
-    ids = ",".join(str(s.mu.index) for s in snapshot_set.snapshots)
+    ids = ",".join(str(mu.index) for mu in snapshot_set.samples)
     return hashlib.sha256(ids.encode()).hexdigest()[:16]
 
 
@@ -115,14 +112,11 @@ class RomModel:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         self.basis.save(directory / "basis")
+        # One (n, d + 2L) table: inputs, then every mode's targets, then alphas.
         inputs = self.gps[0].inputs
-        with open(directory / "gps.bin", "wb") as fh:
-            fh.write(_GPB_HEADER.pack(_GPB_MAGIC, inputs.shape[0], inputs.shape[1],
-                                      len(self.gps)))
-            fh.write(np.ascontiguousarray(inputs, dtype="<f8").tobytes())
-            for gp in self.gps:
-                fh.write(np.ascontiguousarray(gp.targets, dtype="<f8").tobytes())
-                fh.write(np.ascontiguousarray(gp.alpha, dtype="<f8").tobytes())
+        table = np.hstack([inputs, np.array([gp.targets for gp in self.gps]).T,
+                           np.array([gp.alpha for gp in self.gps]).T])
+        smx.write_smx(directory / "gps.smx", table, inputs.shape[0], 1)
         gps_meta = []
         for gp in self.gps:
             theta = gp.theta.to_dict()
@@ -135,7 +129,7 @@ class RomModel:
                 }
             )
         meta = {
-            "format": "plumerom-model-1",
+            "format": MODEL_FORMAT,
             "method": self.method,
             "normalization": self.normalization,
             "split_manifest": self.split_manifest,
@@ -154,26 +148,26 @@ class RomModel:
         directory = Path(directory)
         with open(directory / "model.json") as fh:
             meta = json.load(fh)
+        if meta.get("format") != MODEL_FORMAT:
+            raise DataError(f"{directory}: model format {meta.get('format')!r}, "
+                            f"expected {MODEL_FORMAT!r}")
         basis = pod.ReducedBasis.load(directory / "basis")
-        with open(directory / "gps.bin", "rb") as fh:
-            header = fh.read(_GPB_HEADER.size)
-            magic, n_train, dim, n_gps = _GPB_HEADER.unpack(header)
-            if magic != _GPB_MAGIC:
-                raise DataError(f"{directory}/gps.bin: bad magic {magic!r}")
-            data = np.frombuffer(fh.read(), dtype="<f8")
-        expected = n_train * dim + 2 * n_gps * n_train
-        if data.size != expected:
-            raise DataError(f"{directory}/gps.bin: wrong payload size")
-        inputs = data[: n_train * dim].reshape(n_train, dim).copy()
-        rest = data[n_train * dim:].reshape(n_gps, 2, n_train)
+        table, _, nz = smx.read_smx(directory / "gps.smx")
+        smx.require_finite(table, directory / "gps.smx")
+        n_gps = len(meta["gps"])
+        dim = table.shape[1] - 2 * n_gps
+        if nz != 1 or dim < 1:
+            raise DataError(f"{directory}/gps.smx: not an (n, d + 2*{n_gps}) table")
+        inputs = np.ascontiguousarray(table[:, :dim])
+        targets, alphas = table[:, dim:dim + n_gps], table[:, dim + n_gps:]
         gps = []
         for l, gp_meta in enumerate(meta["gps"]):
             if _theta_checksum(gp_meta["theta"]) != gp_meta["theta_checksum"]:
                 raise DataError(f"mode {l + 1}: hyperparameter checksum mismatch")
             theta = gpr.Hyperparameters.from_dict(gp_meta["theta"])
-            model = gpr.fit_gp(inputs, rest[l, 0].copy(), theta,
+            model = gpr.fit_gp(inputs, targets[:, l], theta,
                                diagnostics=gp_meta["diagnostics"])
-            if not np.allclose(model.alpha, rest[l, 1], rtol=1e-6, atol=1e-8):
+            if not np.allclose(model.alpha, alphas[:, l], rtol=1e-6, atol=1e-8):
                 raise DataError(f"mode {l + 1}: refactorized alpha disagrees with file")
             gps.append(model)
         return cls(
@@ -205,7 +199,7 @@ def _train_one_mode(method, inputs, targets, prior_set, seed, l, sq_diffs):
         theta, diag = gpr.optimize_map(inputs, targets, prior_set, sq_diffs=sq_diffs)
     elif method == "prior":
         theta = prior_set.start_point()
-        diag = {"method": "prior", "total_iterations": 0, "best_value": None,
+        diag = {"method": "prior", "total_iterations": 0, "nfev": 0, "best_value": None,
                 "converged": True, "jitter_events": 0, "wall_time": 0.0}
     else:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -303,7 +297,7 @@ def predict(model: RomModel, mu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         physical = np.asarray(mu, dtype=float)
         if not model.space.contains(physical):
             raise ConfigError(f"point {physical.tolist()} outside the parameter space")
-        sample = to_physical(_unit_of(physical, model.space), model.space)
+        sample = to_physical(to_unit(physical, model.space), model.space)
     if not model.space.contains(sample.physical):
         raise ConfigError(f"point {sample.physical.tolist()} outside the parameter space")
     if model.space.in_exclusion_box(sample.x_src, sample.z_src):
@@ -313,12 +307,6 @@ def predict(model: RomModel, mu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     coeff_mean, coeff_var = _posterior_coefficients(model, sample.unit[None, :])
     fld = pod.reconstruct(model.basis, coeff_mean[:, 0])
     return fld, coeff_mean[:, 0], coeff_var[:, 0]
-
-
-def _unit_of(physical, space: ParameterSpace) -> np.ndarray:
-    from .sampling import to_unit
-
-    return to_unit(physical, space)
 
 
 def _posterior_coefficients(model: RomModel, unit_points: np.ndarray):
@@ -486,7 +474,8 @@ def robustness_sweep(
                       n_jobs=n_jobs, gp_on_union=True)
         per_mode = q2_per_mode(model, test)
         coeff_mean, _ = _posterior_coefficients(model, test.unit_inputs())
-        true_matrix = test.matrix()
+        # C order, like the reconstructions it is scored against once per L
+        true_matrix = np.ascontiguousarray(test.matrix())
         test_variance = node_variance(true_matrix)
         q2_by_l = {}
         for l in grid_l:

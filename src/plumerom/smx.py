@@ -29,11 +29,14 @@ def write_smx(path, matrix, nx: int, nz: int) -> None:
         )
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, nx, nz, matrix.shape[1]))
-        fh.write(np.ascontiguousarray(matrix.T).tobytes())
+        np.ascontiguousarray(matrix.T).tofile(fh)
 
 
 def read_smx(path) -> tuple[np.ndarray, int, int]:
-    """Read ``path``; returns (matrix of shape (nx*nz, n_snapshots), nx, nz)."""
+    """Read ``path``; returns (matrix of shape (nx*nz, n_snapshots), nx, nz).
+
+    The matrix is column-major, a transposed view of the file's payload.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -41,8 +44,14 @@ def read_smx(path) -> tuple[np.ndarray, int, int]:
         magic, nx, nz, n_snap = _HEADER.unpack(header)
         if magic != MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}")
-        data = np.frombuffer(fh.read(), dtype="<f8")
+        data = np.fromfile(fh, dtype="<f8")
     expected = nx * nz * n_snap
     if data.size != expected:
         raise DataError(f"{path}: expected {expected} values, found {data.size}")
-    return data.reshape(n_snap, nx * nz).T.copy(), int(nx), int(nz)
+    return data.reshape(n_snap, nx * nz).T, int(nx), int(nz)
+
+
+def require_finite(matrix, path) -> None:
+    """Raise ``DataError`` if ``matrix`` (read from ``path``) holds NaN or Inf."""
+    if not np.isfinite(matrix).all():
+        raise DataError(f"{path}: non-finite values")

@@ -1,5 +1,5 @@
-"""Shared fixtures. The expensive session fixtures (full-size dataset and
-trained models) are only built when a test actually requests them."""
+"""Shared fixtures. The expensive session fixtures (the full-size dataset and
+its split) are only built when a test actually requests them."""
 
 from __future__ import annotations
 
@@ -42,16 +42,6 @@ def splits750(dataset750):
     return rom.split(dataset750)
 
 
-@pytest.fixture(scope="session")
-def trained_models(splits750):
-    """MAP, MLL, and prior-only models at L=60 on the 472-snapshot split."""
-    train_set, calib_set, _ = splits750
-    models = {}
-    for method in ("map", "mll", "prior"):
-        models[method] = rom.train(train_set, calib_set, 60, method, seed=0)
-    return models
-
-
 def toy_matrix(n_nodes=30, n=8, seed=0, rank=None):
     """Random snapshot matrix, optionally rank-deficient."""
     rng = np.random.default_rng(seed)
@@ -60,3 +50,13 @@ def toy_matrix(n_nodes=30, n=8, seed=0, rank=None):
     basis = rng.standard_normal((n_nodes, rank))
     weights = rng.standard_normal((rank, n))
     return basis @ weights
+
+
+def regenerate(dataset, i, window_fraction):
+    """Column ``i`` of ``dataset`` regenerated from its sample and manifest."""
+    m = dataset.manifest
+    return plume.generate_field(
+        dataset.samples[i], dataset.grid, dataset.channel, window_fraction, m["seed"],
+        space=ParameterSpace.from_dict(m["space"]), u_tau_ref=m["u_tau_ref"],
+        noise_amplitude=m["noise_amplitude"], t_avg_periods=m["t_avg_periods"],
+    ).values

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plumerom.cli import main
-from plumerom.smx import read_smx
+from plumerom.smx import read_smx, write_smx
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +54,7 @@ def test_train_outputs(pipeline):
     assert len(meta["gps"]) == 4
     assert meta["priors_audit"] is not None
     assert (model / "basis.smx").exists()
-    assert (model / "gps.bin").exists()
+    assert (model / "gps.smx").exists()
 
 
 def test_train_split_independent_of_method(pipeline, tmp_path):
@@ -160,6 +160,21 @@ def test_robustness_outputs(pipeline, tmp_path):
         assert l_opt <= int(round(0.9 * size)) - 1
         assert (out / f"q2_per_mode_{size}.csv").exists()
     assert (out / "q2_by_L.csv").exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_train_non_finite_dataset_is_data_error(pipeline, tmp_path, bad):
+    _, data, _ = pipeline
+    copy = tmp_path / "data"
+    copy.mkdir()
+    for name in ("manifest.json", "half.smx"):
+        (copy / name).write_bytes((data / name).read_bytes())
+    full, nx, nz = read_smx(data / "full.smx")
+    full = full.copy()
+    full[100, 7] = bad
+    write_smx(copy / "full.smx", full, nx, nz)
+    assert main(["train", "--dataset", str(copy), "--out", str(tmp_path / "m"),
+                 "--L", "3", "--method", "prior"]) == 3
 
 
 def test_missing_dataset_is_data_error(tmp_path):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from plumerom import ConfigError, DataError
-from plumerom import pod
+from plumerom import pod, rom, smx
 from plumerom.plume import Grid, SnapshotSet, generate_dataset, generate_field
 from plumerom.sampling import design, to_physical, to_unit
+from conftest import regenerate
 
 
 def sample_at(space, u_zc, z0, x_src, z_src):
@@ -109,14 +110,20 @@ class TestGenerateField:
 
 class TestGenerateDataset:
     def test_shapes_and_windows(self, dataset80_small):
+        n_nodes = dataset80_small.grid.n_nodes
         assert len(dataset80_small) == 80
-        assert len(dataset80_small.half_window) == 80
-        assert all(s.window_fraction == 0.5 for s in dataset80_small.half_window)
-        assert all(s.window_fraction == 1.0 for s in dataset80_small.snapshots)
+        assert dataset80_small.matrix().shape == (n_nodes, 80)
+        assert dataset80_small.half_matrix().shape == (n_nodes, 80)
+        for i in (0, 79):
+            assert np.array_equal(dataset80_small.matrix()[:, i],
+                                  regenerate(dataset80_small, i, 1.0))
+            assert np.array_equal(dataset80_small.half_matrix()[:, i],
+                                  regenerate(dataset80_small, i, 0.5))
 
     def test_half_window_pairs_by_mu(self, dataset80_small):
-        for full, half in zip(dataset80_small.snapshots, dataset80_small.half_window):
-            assert full.mu.index == half.mu.index
+        half = dataset80_small.half_matrix()
+        for i in range(len(dataset80_small)):
+            assert np.array_equal(half[:, i], regenerate(dataset80_small, i, 0.5))
 
     def test_manifest_contents(self, dataset80_small):
         manifest = dataset80_small.manifest
@@ -165,3 +172,36 @@ class TestGenerateDataset:
         dataset80_small.save(tmp_path / "b")
         assert (tmp_path / "a/full.smx").read_bytes() == (tmp_path / "b/full.smx").read_bytes()
         assert (tmp_path / "a/manifest.json").read_text() == (tmp_path / "b/manifest.json").read_text()
+
+
+class TestSnapshotLayout:
+    def test_matrix_is_stored_not_rebuilt(self, dataset80_small):
+        assert dataset80_small.matrix() is dataset80_small.matrix()
+        assert dataset80_small.half_matrix() is dataset80_small.half_matrix()
+
+    def test_split_subsets_are_views(self, tmp_path, dataset80_small):
+        dataset80_small.save(tmp_path / "ds")
+        loaded = SnapshotSet.load(tmp_path / "ds")
+        for part in rom.split(loaded):
+            assert np.shares_memory(part.matrix(), loaded.matrix())
+            assert np.shares_memory(part.half_matrix(), loaded.half_matrix())
+
+    def test_subset_save_load_bit_exact(self, tmp_path, dataset80_small):
+        part = dataset80_small.subset(range(17, 43))
+        part.save(tmp_path / "part")
+        loaded = SnapshotSet.load(tmp_path / "part")
+        assert np.array_equal(loaded.matrix(), dataset80_small.matrix()[:, 17:43])
+        assert np.array_equal(loaded.half_matrix(),
+                              dataset80_small.half_matrix()[:, 17:43])
+        assert [mu.index for mu in loaded.samples] == [
+            mu.index for mu in dataset80_small.samples[17:43]
+        ]
+        assert np.array_equal(loaded.unit_inputs(), part.unit_inputs())
+
+    def test_matrices_must_match_samples(self, tmp_path, dataset80_small):
+        dataset80_small.save(tmp_path / "ds")
+        grid = dataset80_small.grid
+        smx.write_smx(tmp_path / "ds/half.smx", dataset80_small.half_matrix()[:, :79],
+                      grid.nx, grid.nz)
+        with pytest.raises(DataError):
+            SnapshotSet.load(tmp_path / "ds")

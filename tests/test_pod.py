@@ -263,3 +263,12 @@ class TestPersistence:
         (tmp_path / "basis.smx").write_bytes(bytes(raw))
         with pytest.raises(DataError):
             pod.ReducedBasis.load(tmp_path / "basis")
+
+    def test_non_finite_rejected(self, tmp_path):
+        # node_variance is outside the checksum, so only the finite check sees it
+        basis = pod.fit(toy_matrix(24, 8, seed=21), 3)
+        basis.nx, basis.nz = 24, 1
+        basis.node_variance[4] = np.nan
+        basis.save(tmp_path / "basis")
+        with pytest.raises(DataError):
+            pod.ReducedBasis.load(tmp_path / "basis")

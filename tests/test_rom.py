@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from plumerom import ConfigError, DataError
-from plumerom import gpr, pod, rom
+from plumerom import gpr, pod, rom, smx
 from plumerom.plume import Grid, generate_dataset
 from plumerom.sampling import to_physical, to_unit
+from conftest import regenerate
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +51,9 @@ class TestSplit:
 
     def test_half_window_split_alongside(self, tiny_dataset):
         train, calib, _ = rom.split(tiny_dataset, (0.6, 0.15, 0.25))
-        assert len(train.half_window) == len(train)
-        for full, half in zip(calib.snapshots, calib.half_window):
-            assert full.mu.index == half.mu.index
+        assert train.half_matrix().shape == train.matrix().shape
+        for i in range(len(calib)):
+            assert np.array_equal(calib.half_matrix()[:, i], regenerate(calib, i, 0.5))
 
 
 class TestTrain:
@@ -87,6 +88,12 @@ class TestTrain:
         joint = rom.train(train_set, calib_set, 3, "map", seed=0, gp_on_union=True)
         assert joint.gps[0].n_train == len(train_set) + len(calib_set)
         assert joint.basis.n_train == len(train_set)
+
+    def test_map_reference_modes_converge(self, dataset200):
+        train_set, calib_set, _ = rom.split(dataset200)
+        model = rom.train(train_set, calib_set, 8, "map", seed=0)
+        assert [g.diagnostics["converged"] for g in model.gps] == [True] * 8
+        assert all(g.diagnostics["nfev"] >= 1 for g in model.gps)
 
     def test_unknown_method(self, tiny_dataset):
         train_set, calib_set, _ = rom.split(tiny_dataset, (0.6, 0.15, 0.25))
@@ -251,6 +258,26 @@ class TestPersistence:
 
         meta = json.loads((tmp_path / "model/model.json").read_text())
         meta["gps"][0]["theta"]["signal_var"] *= 1.5
+        (tmp_path / "model/model.json").write_text(json.dumps(meta))
+        with pytest.raises(DataError):
+            rom.RomModel.load(tmp_path / "model")
+
+
+    def test_non_finite_gp_table_rejected(self, tmp_path, tiny_model):
+        tiny_model.save(tmp_path / "model")
+        table, nx, nz = smx.read_smx(tmp_path / "model/gps.smx")
+        table = table.copy()
+        table[3, -1] = np.nan
+        smx.write_smx(tmp_path / "model/gps.smx", table, nx, nz)
+        with pytest.raises(DataError):
+            rom.RomModel.load(tmp_path / "model")
+
+    def test_unknown_format_rejected(self, tmp_path, tiny_model):
+        import json
+
+        tiny_model.save(tmp_path / "model")
+        meta = json.loads((tmp_path / "model/model.json").read_text())
+        meta["format"] = "plumerom-model-1"
         (tmp_path / "model/model.json").write_text(json.dumps(meta))
         with pytest.raises(DataError):
             rom.RomModel.load(tmp_path / "model")

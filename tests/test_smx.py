@@ -48,6 +48,14 @@ def test_truncated_payload(tmp_path):
         read_smx(path)
 
 
+def test_ragged_payload(tmp_path):
+    path = tmp_path / "ragged.smx"
+    write_smx(path, np.ones((6, 2)), nx=3, nz=2)
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(DataError):
+        read_smx(path)
+
+
 def test_wrong_shape_rejected(tmp_path):
     with pytest.raises(DataError):
         write_smx(tmp_path / "x.smx", np.ones((7, 2)), nx=3, nz=2)
