@@ -159,18 +159,11 @@ def cmd_predict(args) -> int:
     model = rom.RomModel.load(args.model)
     if (args.mu is None) == (args.unit is None):
         raise ConfigError("provide exactly one of --mu or --unit")
+    # Parse and convert only; rom.predict validates the point.
     if args.unit is not None:
-        unit = _parse_point(args.unit)
-        if np.any(unit < 0.0) or np.any(unit > 1.0):
-            raise ConfigError("--unit coordinates must lie in [0,1]")
-        sample = to_physical(unit, model.space)
-        if sample.rejected:
-            raise ConfigError("point maps inside the obstacle exclusion box")
+        sample = to_physical(_parse_point(args.unit), model.space)
     else:
-        physical = _parse_point(args.mu)
-        sample = to_physical(to_unit(physical, model.space), model.space)
-        if sample.rejected:
-            raise ConfigError("point lies inside the obstacle exclusion box")
+        sample = to_physical(to_unit(_parse_point(args.mu), model.space), model.space)
     fld, coeff_mean, coeff_var = rom.predict(model, sample)
     out = _prepare_out(args.out, args.force)
     smx.write_smx(out / "field.smx", fld[:, None], model.grid.nx, model.grid.nz)
@@ -256,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="JSON config file (flags still win)")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None, help="worker threads")
         p.add_argument("--force", action="store_true",
                        help="overwrite a non-empty output directory")
 
@@ -277,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--L", type=int, default=None, help="retained POD modes")
     p.add_argument("--method", default=None, choices=["mll", "map", "prior"])
+    p.add_argument("--jobs", type=int, default=None, help="worker threads")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict a field at one parameter point")
@@ -301,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--sizes", default=None, help="comma list, e.g. 50,100")
     p.add_argument("--method", default=None, choices=["mll", "map", "prior"])
+    p.add_argument("--jobs", type=int, default=None, help="worker threads")
     p.set_defaults(func=cmd_robustness)
 
     return parser

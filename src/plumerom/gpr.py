@@ -368,16 +368,6 @@ class MllProblem:
         return value + p_value, grad + p_grad
 
 
-def log_marginal_likelihood(inputs, targets, theta: Hyperparameters):
-    """Convenience wrapper: (value, gradient over log-theta)."""
-    return MllProblem(inputs, targets).mll_and_grad(theta)
-
-
-def log_posterior(inputs, targets, theta: Hyperparameters, priors: PriorSet):
-    """MLL plus log prior densities; gradient in log-space."""
-    return MllProblem(inputs, targets).log_posterior_and_grad(theta, priors)
-
-
 def _log_bounds() -> list[tuple[float, float]]:
     b = DEFAULT_BOUNDS
     out = [

@@ -175,6 +175,10 @@ class SnapshotSet:
         directory = Path(directory)
         with open(directory / "manifest.json") as fh:
             manifest = json.load(fh)
+        # rom.train reads "space"; the rest are read below
+        missing = [k for k in ("grid", "samples", "channel", "space") if k not in manifest]
+        if missing:
+            raise DataError(f"{directory}/manifest.json lacks {', '.join(missing)}")
         grid = Grid.from_dict(manifest["grid"])
         full, nx, nz = smx.read_smx(directory / "full.smx")
         if (nx, nz) != (grid.nx, grid.nz):

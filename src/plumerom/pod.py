@@ -1,11 +1,14 @@
 """Snapshot compression by proper orthogonal decomposition.
 
 The snapshot matrix is centered and scaled by 1/sqrt(N-1) so that its outer
-product is the unbiased ensemble covariance; modes and eigenvalues come from
-a thin SVD of the scaled matrix (the node-by-node covariance is never
-formed). Projection whitens: with eigenvalues of the scaled covariance, the
-training coefficients of every retained mode have exactly zero mean and unit
-(unbiased) variance, which is what the per-mode regressions expect.
+product is the unbiased ensemble covariance. Modes and eigenvalues come from
+the method of snapshots (Sirovich 1987): the N-by-N Gram matrix of the scaled
+snapshots shares its nonzero eigenvalues with the node-by-node covariance,
+which is never formed, and each mode is the combination of scaled snapshots
+given by a Gram eigenvector. Projection whitens: with eigenvalues of the
+scaled covariance, the training coefficients of every retained mode have
+exactly zero mean and unit (unbiased) variance, which is what the per-mode
+regressions expect.
 """
 
 from __future__ import annotations
@@ -110,21 +113,7 @@ def center_scale(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean_field, (matrix - mean_field[:, None]) / np.sqrt(n - 1.0)
 
 
-def _randomized_svd(scaled: np.ndarray, L: int, seed: int, n_oversample: int = 10,
-                    n_power_iter: int = 4):
-    """Seeded randomized range finder + small dense SVD (tall matrices)."""
-    n = scaled.shape[1]
-    k = min(n, L + n_oversample)
-    rng = np.random.Generator(np.random.Philox(seed))
-    sketch = scaled @ rng.standard_normal((n, k))
-    q, _ = np.linalg.qr(sketch)
-    for _ in range(n_power_iter):
-        q, _ = np.linalg.qr(scaled @ (scaled.T @ q))
-    u_small, s, vt = np.linalg.svd(q.T @ scaled, full_matrices=False)
-    return q @ u_small, s, vt
-
-
-def fit(snapshots, L: int, *, backend: str = "svd", seed: int = 0) -> ReducedBasis:
+def fit(snapshots, L: int) -> ReducedBasis:
     """Fit a rank-L POD basis from a snapshot set or (n_nodes, N) matrix.
 
     Modes are sign-canonicalized (largest-magnitude entry positive) so
@@ -137,45 +126,33 @@ def fit(snapshots, L: int, *, backend: str = "svd", seed: int = 0) -> ReducedBas
     else:
         matrix = np.asarray(snapshots, dtype=float)
     n_nodes, n = matrix.shape
-    if not 1 <= L <= min(n_nodes, n - 1):
-        raise ConfigError(f"L={L} outside [1, min(n_nodes, n-1)={min(n_nodes, n - 1)}]")
+    rank = min(n_nodes, n - 1)  # centering removes one dimension
+    if not 1 <= L <= rank:
+        raise ConfigError(f"L={L} outside [1, min(n_nodes, n-1)={rank}]")
 
     mean_field, scaled = center_scale(matrix)
     node_variance = np.einsum("ij,ij->i", scaled, scaled)
 
-    if backend == "randomized":
-        u, s, _ = _randomized_svd(scaled, L, seed)
-    elif backend == "svd":
-        u, s, _ = np.linalg.svd(scaled, full_matrices=False)
-    else:
-        raise ConfigError(f"unknown backend {backend!r}")
-
-    eigenvalues = s**2
+    gram_values, gram_vectors = np.linalg.eigh(scaled.T @ scaled)
+    eigenvalues = gram_values[::-1][:rank]
     positive = eigenvalues > eigenvalues[0] * np.finfo(float).eps * max(n_nodes, n)
     spectrum = eigenvalues[positive]
     if L > spectrum.size:
         raise NumericalError(
             f"requested L={L} exceeds the numerical rank {spectrum.size}"
         )
-    modes = u[:, :L].copy()
+    modes = scaled @ (gram_vectors[:, ::-1][:, :L] / np.sqrt(eigenvalues[:L]))
     # Sign canonicalization: flip each mode so its largest-|entry| is positive.
     lead = np.abs(modes).argmax(axis=0)
     flip = np.sign(modes[lead, np.arange(L)])
     modes *= flip
-
-    if backend == "randomized":
-        # The sketch only approximates trailing eigenvalues; keep the exact
-        # trace, which equals the total node variance.
-        total_variance = float(node_variance.sum())
-    else:
-        total_variance = float(spectrum.sum())
 
     return ReducedBasis(
         mean_field=mean_field,
         modes=modes,
         eigenvalues=eigenvalues[:L].copy(),
         spectrum=spectrum.copy(),
-        total_variance=total_variance,
+        total_variance=float(spectrum.sum()),
         n_train=n,
         node_variance=node_variance,
         nx=nx,

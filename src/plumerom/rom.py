@@ -291,15 +291,12 @@ def predict(model: RomModel, mu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     parameter space or inside the exclusion box are refused: the model is
     only validated over the sampled region.
     """
-    if isinstance(mu, ParameterSample):
+    if not isinstance(mu, ParameterSample):
+        sample = to_physical(to_unit(mu, model.space), model.space)  # to_unit checks bounds
+    elif model.space.contains(mu.physical):
         sample = mu
     else:
-        physical = np.asarray(mu, dtype=float)
-        if not model.space.contains(physical):
-            raise ConfigError(f"point {physical.tolist()} outside the parameter space")
-        sample = to_physical(to_unit(physical, model.space), model.space)
-    if not model.space.contains(sample.physical):
-        raise ConfigError(f"point {sample.physical.tolist()} outside the parameter space")
+        raise ConfigError(f"point {mu.physical.tolist()} outside the parameter space")
     if model.space.in_exclusion_box(sample.x_src, sample.z_src):
         raise ConfigError(
             f"source ({sample.x_src}, {sample.z_src}) inside the exclusion box"
@@ -340,19 +337,6 @@ def q2_scores(true_values: np.ndarray, predicted: np.ndarray, axis: int = 1,
     defined = denom > mask_rtol * (denom.max() if denom.size else 0.0)
     out[defined] = 1.0 - residual[defined] / denom[defined]
     return out
-
-
-def q2_per_mode(model: RomModel, test_set: SnapshotSet) -> np.ndarray:
-    """Per-mode Q2 of the GP means against projected test coefficients."""
-    k_true = pod.project(model.basis, test_set.matrix())
-    k_pred, _ = _posterior_coefficients(model, test_set.unit_inputs())
-    return q2_scores(k_true, k_pred)
-
-
-def q2_local(model: RomModel, test_set: SnapshotSet) -> np.ndarray:
-    """Per-node Q2 of reconstructed fields over the evaluation set."""
-    predicted = predict_fields(model, test_set.unit_inputs())
-    return q2_scores(test_set.matrix(), predicted)
 
 
 def q2_global(q2_local_values: np.ndarray, node_variance: np.ndarray) -> float:
@@ -419,8 +403,9 @@ def evaluate(model: RomModel, eval_set: SnapshotSet, tag: str = "test") -> Evalu
     if tag == "test" and train_hash is not None and eval_hash == train_hash:
         raise DataError("evaluation split matches the training split (leakage)")
     matrix = eval_set.matrix()
-    per_mode = q2_per_mode(model, eval_set)
-    local = q2_scores(matrix, predict_fields(model, eval_set.unit_inputs()))
+    coeff, _ = _posterior_coefficients(model, eval_set.unit_inputs())
+    per_mode = q2_scores(pod.project(model.basis, matrix), coeff)
+    local = q2_scores(matrix, pod.reconstruct(model.basis, coeff))
     weights = node_variance(matrix)
     return EvaluationReport(
         q2_per_mode=per_mode,
@@ -472,8 +457,8 @@ def robustness_sweep(
             raise ConfigError(f"no admissible L for size {size} (max {l_max})")
         model = train(pod_set, calib_set, max(grid_l), method, seed,
                       n_jobs=n_jobs, gp_on_union=True)
-        per_mode = q2_per_mode(model, test)
         coeff_mean, _ = _posterior_coefficients(model, test.unit_inputs())
+        per_mode = q2_scores(pod.project(model.basis, test.matrix()), coeff_mean)
         # C order, like the reconstructions it is scored against once per L
         true_matrix = np.ascontiguousarray(test.matrix())
         test_variance = node_variance(true_matrix)

@@ -10,13 +10,12 @@ from its recorded sequence indices.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 
 _HALTON_BASES = (2, 3, 5, 7)
 
@@ -248,48 +247,6 @@ class Design:
     samples: list[ParameterSample]
     start_index: int
     n_skipped: int = 0
-
-    def unit_matrix(self) -> np.ndarray:
-        return np.array([s.unit for s in self.samples])
-
-    def physical_matrix(self) -> np.ndarray:
-        return np.array([s.physical for s in self.samples])
-
-    def to_manifest(self) -> dict:
-        return {
-            "space": self.space.to_dict(),
-            "start_index": self.start_index,
-            "n_samples": len(self.samples),
-            "n_skipped": self.n_skipped,
-            "samples": [s.to_dict() for s in self.samples],
-        }
-
-    @classmethod
-    def from_manifest(cls, manifest: dict) -> "Design":
-        space = ParameterSpace.from_dict(manifest["space"])
-        samples = [
-            ParameterSample(
-                unit=np.array(rec["unit"]),
-                physical=np.array(rec["physical"]),
-                index=rec["index"],
-            )
-            for rec in manifest["samples"]
-        ]
-        return cls(
-            space=space,
-            samples=samples,
-            start_index=manifest["start_index"],
-            n_skipped=manifest["n_skipped"],
-        )
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_manifest(), fh, indent=1)
-
-    @classmethod
-    def load(cls, path) -> "Design":
-        with open(path) as fh:
-            return cls.from_manifest(json.load(fh))
 
 
 def design(space: ParameterSpace, n: int, start_index: int = 1) -> Design:

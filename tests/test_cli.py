@@ -116,6 +116,9 @@ def test_predict_rejects_out_of_bounds(pipeline, tmp_path):
     code = main(["predict", "--model", str(model), "--out", str(tmp_path / "p2"),
                  "--mu", "15.0,1e-2,-1.0,0.8"])
     assert code == 2
+    code = main(["predict", "--model", str(model), "--out", str(tmp_path / "p3"),
+                 "--unit", "1.5,0.5,0.9,0.9"])
+    assert code == 2
 
 
 def test_evaluate_outputs_and_identity(pipeline, tmp_path):
@@ -175,6 +178,21 @@ def test_train_non_finite_dataset_is_data_error(pipeline, tmp_path, bad):
     write_smx(copy / "full.smx", full, nx, nz)
     assert main(["train", "--dataset", str(copy), "--out", str(tmp_path / "m"),
                  "--L", "3", "--method", "prior"]) == 3
+
+
+@pytest.mark.parametrize("key", ["grid", "samples", "channel", "space"])
+def test_train_manifest_missing_key_is_data_error(pipeline, tmp_path, key, capsys):
+    _, data, _ = pipeline
+    copy = tmp_path / "data"
+    copy.mkdir()
+    for name in ("full.smx", "half.smx"):
+        (copy / name).write_bytes((data / name).read_bytes())
+    manifest = json.loads((data / "manifest.json").read_text())
+    del manifest[key]
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["train", "--dataset", str(copy), "--out", str(tmp_path / "m"),
+                 "--L", "3", "--method", "prior"]) == 3
+    assert f"lacks {key}" in capsys.readouterr().err
 
 
 def test_missing_dataset_is_data_error(tmp_path):

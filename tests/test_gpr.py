@@ -131,7 +131,7 @@ class TestPosterior:
 class TestMarginalLikelihood:
     def test_scalar_gaussian_value(self):
         theta = gpr.Hyperparameters(0.0, 1.0, (1.0, 1.0, 1.0, 1.0))
-        value, _ = gpr.log_marginal_likelihood(np.zeros((1, 4)), np.array([0.5]), theta)
+        value, _ = gpr.MllProblem(np.zeros((1, 4)), np.array([0.5])).mll_and_grad(theta)
         assert value == pytest.approx(-0.125 - 0.5 * math.log(2.0 * math.pi), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -165,8 +165,9 @@ class TestMarginalLikelihood:
         gains = []
         for seed in range(50):
             x, y = gp_sample(25, theta_true, seed=100 + seed)
-            v_true, _ = gpr.log_marginal_likelihood(x, y, theta_true)
-            v_zero, _ = gpr.log_marginal_likelihood(x, y, theta_zero)
+            problem = gpr.MllProblem(x, y)
+            v_true, _ = problem.mll_and_grad(theta_true)
+            v_zero, _ = problem.mll_and_grad(theta_zero)
             gains.append(v_true - v_zero)
         assert np.mean(gains) > 0.0
 
@@ -175,8 +176,9 @@ class TestLogPosterior:
     def test_flat_priors_reduce_to_mll(self):
         theta = gpr.Hyperparameters(0.05, 1.1, (0.5, 0.5, 0.5, 0.5))
         x, y = gp_sample(15, theta, seed=6)
-        mll, mll_grad = gpr.log_marginal_likelihood(x, y, theta)
-        post, post_grad = gpr.log_posterior(x, y, theta, gpr.PriorSet.flat())
+        problem = gpr.MllProblem(x, y)
+        mll, mll_grad = problem.mll_and_grad(theta)
+        post, post_grad = problem.log_posterior_and_grad(theta, gpr.PriorSet.flat())
         assert post == pytest.approx(mll, abs=1e-10)
         assert np.allclose(post_grad, mll_grad, atol=1e-12)
 
@@ -201,8 +203,9 @@ class TestLogPosterior:
             signal=gpr.GaussianPrior(1.0, 0.03),
             lengthscales=tuple(gamma_from_mode_variance(0.5, 1.0) for _ in range(4)),
         )
-        mll, _ = gpr.log_marginal_likelihood(x, y, theta)
-        post, _ = gpr.log_posterior(x, y, theta, priors)
+        problem = gpr.MllProblem(x, y)
+        mll, _ = problem.mll_and_grad(theta)
+        post, _ = problem.log_posterior_and_grad(theta, priors)
         expected = (
             mll
             + priors.noise.logpdf(0.05)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plumerom import ConfigError, DataError
-from plumerom import pod
+from plumerom import pod, rom
 from conftest import toy_matrix
 
 
@@ -83,18 +83,36 @@ class TestFit:
         with pytest.raises(ConfigError):
             pod.fit(matrix, 0)
 
-    def test_randomized_backend_agrees(self):
-        # decaying spectrum, the regime the sketching backend is meant for
+    @staticmethod
+    def assert_matches_svd(matrix, L, rtol=1e-10):
+        # brute-force oracle: thin SVD of the centered, scaled matrix
+        basis = pod.fit(matrix, L)
+        u, s, _ = np.linalg.svd(pod.center_scale(matrix)[1], full_matrices=False)
+        assert np.allclose(basis.eigenvalues, s[:L] ** 2, rtol=rtol, atol=0.0)
+        overlaps = np.abs(np.einsum("il,il->l", u[:, :L], basis.modes))
+        assert np.abs(overlaps - 1.0).max() <= rtol
+        rank = min(matrix.shape[0], matrix.shape[1] - 1)
+        assert basis.total_variance == pytest.approx(float(np.sum(s[:rank] ** 2)),
+                                                     rel=rtol)
+        return basis
+
+    def test_decaying_spectrum_matches_svd(self):
+        # weights 0.5^k: squaring into the Gram matrix loses the most here
         rng = np.random.default_rng(8)
         weights = 0.5 ** np.arange(20)
         matrix = (rng.standard_normal((200, 20)) * weights) @ rng.standard_normal((20, 40))
-        exact = pod.fit(matrix, 5)
-        sketch = pod.fit(matrix, 5, backend="randomized", seed=11)
-        assert np.allclose(sketch.eigenvalues, exact.eigenvalues, rtol=1e-6)
-        for l in range(5):
-            overlap = abs(float(sketch.modes[:, l] @ exact.modes[:, l]))
-            assert overlap == pytest.approx(1.0, abs=1e-6)
-        assert sketch.total_variance == pytest.approx(exact.total_variance, rel=1e-10)
+        self.assert_matches_svd(matrix, 5)
+
+    def test_wide_matrix_matches_svd(self):
+        # fewer nodes than snapshots: the spectrum stops at n_nodes
+        basis = self.assert_matches_svd(toy_matrix(6, 20, seed=22), 6)
+        assert basis.spectrum.size == 6
+        with pytest.raises(ConfigError):
+            pod.fit(toy_matrix(6, 20, seed=22), 7)
+
+    def test_reference_training_split_matches_svd(self, dataset200):
+        train, _, _ = rom.split(dataset200)
+        self.assert_matches_svd(train.matrix(), 100)
 
 
 class TestProjectReconstruct:

@@ -208,16 +208,6 @@ class TestDesign:
             assert a.index == b.index
             assert np.array_equal(a.unit, b.unit)
 
-    def test_manifest_round_trip(self, space, tmp_path):
-        d = design(space, 12, 1)
-        path = tmp_path / "design.json"
-        d.save(path)
-        loaded = type(d).load(path)
-        assert loaded.start_index == d.start_index
-        assert loaded.n_skipped == d.n_skipped
-        assert np.array_equal(loaded.unit_matrix(), d.unit_matrix())
-        assert np.array_equal(loaded.physical_matrix(), d.physical_matrix())
-
     def test_skips_are_counted(self, space):
         d = design(space, 200, 1)
         consumed = d.samples[-1].index
