@@ -1,42 +1,53 @@
-"""POD/GPR reduced-order modeling of parameterized plume dispersion fields."""
+"""POD/GPR reduced-order modeling of parameterized plume dispersion fields.
 
-from .errors import ConfigError, DataError, NumericalError, PlumeRomError
-from .gpr import GammaPrior, GaussianPrior, GpModel, Hyperparameters, PriorSet
-from .plume import FieldSnapshot, Grid, SnapshotSet, generate_dataset, generate_field
-from .pod import ReducedBasis
-from .priors import NoiseEstimate
-from .rom import EvaluationReport, RomModel, evaluate, predict, robustness_sweep, split, train
-from .sampling import Design, ParameterSample, ParameterSpace, design
+The public names load their submodule on first access (PEP 562), so
+``import plumerom`` imports neither numpy nor scipy. The command-line entry
+point relies on this to choose the BLAS thread count before numpy loads.
+"""
+
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "DataError",
-    "Design",
-    "EvaluationReport",
-    "FieldSnapshot",
-    "GammaPrior",
-    "GaussianPrior",
-    "GpModel",
-    "Grid",
-    "Hyperparameters",
-    "NoiseEstimate",
-    "NumericalError",
-    "ParameterSample",
-    "ParameterSpace",
-    "PlumeRomError",
-    "PriorSet",
-    "ReducedBasis",
-    "RomModel",
-    "SnapshotSet",
-    "design",
-    "evaluate",
-    "generate_dataset",
-    "generate_field",
-    "predict",
-    "robustness_sweep",
-    "split",
-    "train",
-    "__version__",
-]
+# Public name -> submodule that defines it.
+_EXPORTS = {
+    "ConfigError": "errors",
+    "DataError": "errors",
+    "NumericalError": "errors",
+    "PlumeRomError": "errors",
+    "GammaPrior": "gpr",
+    "GaussianPrior": "gpr",
+    "GpModel": "gpr",
+    "Hyperparameters": "gpr",
+    "PriorSet": "gpr",
+    "FieldSnapshot": "plume",
+    "Grid": "plume",
+    "SnapshotSet": "plume",
+    "generate_dataset": "plume",
+    "generate_field": "plume",
+    "ReducedBasis": "pod",
+    "NoiseEstimate": "priors",
+    "EvaluationReport": "rom",
+    "RomModel": "rom",
+    "evaluate": "rom",
+    "predict": "rom",
+    "robustness_sweep": "rom",
+    "split": "rom",
+    "train": "rom",
+    "Design": "sampling",
+    "ParameterSample": "sampling",
+    "ParameterSpace": "sampling",
+    "design": "sampling",
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

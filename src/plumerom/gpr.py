@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize as sp_optimize
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.blas import dsyr
 from scipy.linalg.lapack import dpotri
 from scipy.special import gammaln
 
@@ -24,6 +25,8 @@ from .errors import ConfigError, NumericalError
 
 SQRT5 = math.sqrt(5.0)
 JITTER = 1e-8
+# What the minimizer sees for an evaluation whose kernel did not factorize.
+FAILED_OBJECTIVE = 1e30
 N_HYPERS = 6  # noise, signal, 4 length-scales
 
 # Optimization box in natural space (log-space inside the optimizer). The
@@ -232,20 +235,21 @@ def kernel_matrix(x1, x2, theta: Hyperparameters) -> np.ndarray:
 
 def _factorize(kernel: np.ndarray, noise_var: float):
     """Cholesky of kernel + noise_var*I with the single-jitter fallback."""
-    k = kernel.copy()
-    idx = np.diag_indices_from(k)
-    k[idx] += noise_var
-    try:
-        return cho_factor(k, lower=True), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    k[idx] += JITTER
-    try:
-        return cho_factor(k, lower=True), JITTER
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"kernel matrix not positive definite even with jitter {JITTER:g}"
-        ) from exc
+    idx = np.diag_indices_from(kernel)
+    for jitter in (0.0, JITTER):
+        # LAPACK factorizes a Fortran-ordered copy in place. A failed attempt
+        # leaves it partly overwritten, so the jitter attempt copies afresh.
+        k = np.array(kernel, order="F")
+        k[idx] += noise_var
+        if jitter:
+            k[idx] += jitter
+        try:
+            return cho_factor(k, lower=True, overwrite_a=True), jitter
+        except np.linalg.LinAlgError as exc:
+            failure = exc
+    raise NumericalError(
+        f"kernel matrix not positive definite even with jitter {JITTER:g}"
+    ) from failure
 
 
 @dataclass
@@ -323,16 +327,30 @@ class MllProblem:
         self.targets = np.asarray(targets, dtype=float)
         self.n = self.inputs.shape[0]
         self.sqd = _sq_diffs(self.inputs) if sq_diffs is None else sq_diffs
-        self.sqd_flat = self.sqd.reshape(4, -1)
+        self.sqd_flat = self.sqd.reshape(self.sqd.shape[0], -1)
         self.jitter_events = 0
-        self._upper = np.triu_indices(self.n, 1)
+        # Sums over one triangle of a symmetric product, counted twice, plus
+        # its diagonal, equal the sum over the whole matrix.
+        self._triangle_weights = np.triu(np.full((self.n, self.n), 2.0), 1)
+        np.fill_diagonal(self._triangle_weights, 1.0)
 
     def mll_and_grad(self, theta: Hyperparameters) -> tuple[float, np.ndarray]:
         """MLL value and gradient w.r.t. log(theta), both analytic."""
         inv_ls2 = 1.0 / np.asarray(theta.lengthscales) ** 2
-        d = np.sqrt(np.tensordot(inv_ls2, self.sqd, axes=1))
-        decay = np.exp(-SQRT5 * d)
-        kernel = theta.signal_var * (1.0 + SQRT5 * d + (5.0 / 3.0) * d**2) * decay
+        # Three n x n buffers, each filled in place: the scaled distance d,
+        # exp(-sqrt5 d) and 1 + sqrt5 d. d's buffer then becomes the kernel.
+        d = np.tensordot(inv_ls2, self.sqd, axes=1)
+        np.sqrt(d, out=d)
+        decay = np.multiply(d, -SQRT5)
+        np.exp(decay, out=decay)
+        ramp = np.multiply(d, SQRT5)
+        ramp += 1.0
+        kernel = d
+        kernel *= kernel
+        kernel *= 5.0 / 3.0
+        kernel += ramp
+        kernel *= theta.signal_var
+        kernel *= decay
         chol, jitter = _factorize(kernel, theta.noise_var)
         if jitter:
             self.jitter_events += 1
@@ -342,22 +360,26 @@ class MllProblem:
             - float(np.log(np.diagonal(chol[0])).sum())
             - 0.5 * self.n * math.log(2.0 * math.pi)
         )
-        # grad_j = 0.5 * sum((alpha alpha^T - K^-1) * dK/dphi_j)
-        raw, info = dpotri(chol[0], lower=True)
+        # grad_j = 0.5 * sum((alpha alpha^T - K^-1) * dK/dphi_j). dpotri and
+        # dsyr fill the lower triangle of the Fortran-ordered factor with
+        # K^-1 - alpha alpha^T; its transpose is C-ordered like the kernel and
+        # holds those entries in its upper triangle.
+        inv, info = dpotri(chol[0], lower=True, overwrite_c=True)
         if info != 0:
             raise NumericalError(f"dpotri failed with info={info}")
-        raw[self._upper] = raw.T[self._upper]  # dpotri fills one triangle only
-        a_mat = np.outer(alpha, alpha)
-        a_mat -= raw
+        neg_a = dsyr(-1.0, alpha, lower=True, a=inv, overwrite_a=True).T
+        neg_a *= self._triangle_weights
         grad = np.empty(N_HYPERS)
-        grad[0] = 0.5 * theta.noise_var * np.trace(a_mat)
-        grad[1] = 0.5 * float(np.einsum("ij,ij->", a_mat, kernel))
+        grad[0] = -0.5 * theta.noise_var * np.trace(neg_a)
+        # einsum, not np.vdot: with a multi-threaded BLAS, a numpy BLAS dot
+        # between scipy's LAPACK calls wakes a second thread pool, which made
+        # a call 5-10 ms slower at n = 150-200 on 2 vCPUs.
+        grad[1] = -0.5 * float(np.einsum("ij,ij->", neg_a, kernel))
         # dK/dlog(lambda_i) = rho*(5/3)*(1+sqrt5 d)*decay * sqd_i / lambda_i^2
-        base = a_mat
-        base *= decay
-        base *= 1.0 + SQRT5 * d
-        weights = self.sqd_flat @ base.ravel()
-        grad[2:] = 0.5 * theta.signal_var * (5.0 / 3.0) * weights * inv_ls2
+        neg_a *= decay
+        neg_a *= ramp
+        weights = self.sqd_flat @ neg_a.ravel()
+        grad[2:] = -0.5 * theta.signal_var * (5.0 / 3.0) * weights * inv_ls2
         return value, grad
 
     def log_posterior_and_grad(
@@ -379,14 +401,23 @@ def _log_bounds() -> list[tuple[float, float]]:
 
 
 def _descend(objective, start: Hyperparameters, gtol: float, maxiter: int):
-    """One quasi-Newton trajectory maximizing ``objective`` in log-space;
-    returns (theta, objective value, scipy result)."""
+    """One quasi-Newton trajectory maximizing ``objective`` in log-space.
+
+    Returns (theta, objective value, trajectory record). A failed evaluation
+    reads as a flat plateau to L-BFGS-B, which may then stop and report
+    success; when the returned theta never factorized, the value is None and
+    the trajectory is not converged.
+    """
+    failed = 0
+
     def negated(log_theta):
+        nonlocal failed
         theta = Hyperparameters.from_log_vector(log_theta)
         try:
             value, grad = objective(theta)
         except NumericalError:
-            return 1e30, np.zeros(N_HYPERS)
+            failed += 1
+            return FAILED_OBJECTIVE, np.zeros(N_HYPERS)
         return -value, -grad
 
     result = sp_optimize.minimize(
@@ -399,7 +430,17 @@ def _descend(objective, start: Hyperparameters, gtol: float, maxiter: int):
         # the objective's sum over n points and line searches fail spuriously.
         options={"maxiter": maxiter, "gtol": gtol, "ftol": 1e-10},
     )
-    return Hyperparameters.from_log_vector(result.x), -float(result.fun), result
+    factorized = bool(result.fun < FAILED_OBJECTIVE)
+    value = -float(result.fun) if factorized else None
+    record = {
+        "value": value,
+        "iterations": int(result.nit),
+        "nfev": int(result.nfev),
+        "failed_evaluations": failed,
+        "converged": factorized and bool(result.success),
+        "message": str(result.message) if factorized else "returned theta never factorized",
+    }
+    return Hyperparameters.from_log_vector(result.x), value, record
 
 
 def _sample_start(rng: np.random.Generator) -> Hyperparameters:
@@ -435,16 +476,13 @@ def optimize_mll(
     best = None
     t0 = time.perf_counter()
     for _ in range(n_restarts):
-        start = _sample_start(rng)
-        try:
-            theta, value, result = _descend(problem.mll_and_grad, start, gtol, maxiter)
-        except NumericalError:
-            trajectories.append({"value": None, "iterations": 0, "nfev": 0,
-                                 "converged": False, "message": "factorization failed"})
+        theta, value, record = _descend(
+            problem.mll_and_grad, _sample_start(rng), gtol, maxiter
+        )
+        trajectories.append(record)
+        if value is None:
             continue
-        trajectories.append({"value": value, "iterations": int(result.nit),
-                             "nfev": int(result.nfev), "converged": bool(result.success),
-                             "message": str(result.message), "theta": theta.to_dict()})
+        record["theta"] = theta.to_dict()
         if best is None or value > best[1]:
             best = (theta, value)
     if best is None:
@@ -455,6 +493,7 @@ def optimize_mll(
         "trajectories": trajectories,
         "total_iterations": sum(t["iterations"] for t in trajectories),
         "nfev": sum(t["nfev"] for t in trajectories),
+        "failed_evaluations": sum(t["failed_evaluations"] for t in trajectories),
         "best_value": best[1],
         "jitter_events": problem.jitter_events,
         "wall_time": time.perf_counter() - t0,
@@ -479,17 +518,18 @@ def optimize_map(
     problem = MllProblem(inputs, targets, sq_diffs=sq_diffs)
     start = start or priors.start_point()
     t0 = time.perf_counter()
-    theta, value, result = _descend(
+    theta, value, record = _descend(
         lambda th: problem.log_posterior_and_grad(th, priors), start, gtol, maxiter
     )
     diagnostics = {
         "method": "map",
         "start": start.to_dict(),
-        "total_iterations": int(result.nit),
-        "nfev": int(result.nfev),
+        "total_iterations": record["iterations"],
+        "nfev": record["nfev"],
+        "failed_evaluations": record["failed_evaluations"],
         "best_value": value,
-        "converged": bool(result.success),
-        "message": str(result.message),
+        "converged": record["converged"],
+        "message": record["message"],
         "jitter_events": problem.jitter_events,
         "wall_time": time.perf_counter() - t0,
     }

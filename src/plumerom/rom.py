@@ -199,8 +199,9 @@ def _train_one_mode(method, inputs, targets, prior_set, seed, l, sq_diffs):
         theta, diag = gpr.optimize_map(inputs, targets, prior_set, sq_diffs=sq_diffs)
     elif method == "prior":
         theta = prior_set.start_point()
-        diag = {"method": "prior", "total_iterations": 0, "nfev": 0, "best_value": None,
-                "converged": True, "jitter_events": 0, "wall_time": 0.0}
+        diag = {"method": "prior", "total_iterations": 0, "nfev": 0,
+                "failed_evaluations": 0, "best_value": None, "converged": True,
+                "jitter_events": 0, "wall_time": 0.0}
     else:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
     return gpr.fit_gp(inputs, targets, theta, diagnostics=diag)
@@ -331,12 +332,18 @@ def q2_scores(true_values: np.ndarray, predicted: np.ndarray, axis: int = 1,
     true_values = np.asarray(true_values, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
     residual = np.sum((true_values - predicted) ** 2, axis=axis)
-    centered = true_values - true_values.mean(axis=axis, keepdims=True)
-    denom = np.sum(centered**2, axis=axis)
+    denom, defined = _q2_denominators(true_values, axis, mask_rtol)
     out = np.full(np.shape(denom), np.nan)
-    defined = denom > mask_rtol * (denom.max() if denom.size else 0.0)
     out[defined] = 1.0 - residual[defined] / denom[defined]
     return out
+
+
+def _q2_denominators(true_values: np.ndarray, axis: int = 1, mask_rtol: float = 1e-14):
+    """Centered sums of squares along ``axis`` and the mask of defined entries."""
+    centered = true_values - true_values.mean(axis=axis, keepdims=True)
+    denom = np.sum(centered**2, axis=axis)
+    defined = denom > mask_rtol * (denom.max() if denom.size else 0.0)
+    return denom, defined
 
 
 def q2_global(q2_local_values: np.ndarray, node_variance: np.ndarray) -> float:
@@ -459,13 +466,8 @@ def robustness_sweep(
                       n_jobs=n_jobs, gp_on_union=True)
         coeff_mean, _ = _posterior_coefficients(model, test.unit_inputs())
         per_mode = q2_scores(pod.project(model.basis, test.matrix()), coeff_mean)
-        # C order, like the reconstructions it is scored against once per L
-        true_matrix = np.ascontiguousarray(test.matrix())
-        test_variance = node_variance(true_matrix)
-        q2_by_l = {}
-        for l in grid_l:
-            truncated = _truncated_reconstruction(model.basis, coeff_mean, l)
-            q2_by_l[l] = q2_global(q2_scores(true_matrix, truncated), test_variance)
+        q2_all = _q2_by_truncation(model.basis, coeff_mean, test.matrix())
+        q2_by_l = {l: q2_all[l - 1] for l in grid_l}
         l_opt = max(q2_by_l, key=q2_by_l.get)
         results.append(
             {
@@ -480,6 +482,34 @@ def robustness_sweep(
     return results
 
 
-def _truncated_reconstruction(basis: pod.ReducedBasis, coeff: np.ndarray, l: int):
-    weighted = coeff[:l] * np.sqrt(basis.eigenvalues[:l])[:, None]
-    return basis.modes[:, :l] @ weighted + basis.mean_field[:, None]
+def _q2_by_truncation(basis: pod.ReducedBasis, coeff: np.ndarray,
+                      true_matrix: np.ndarray) -> list[float]:
+    """Global Q2 of the reconstruction truncated at every l = 1..L, in order.
+
+    With the evaluation node variances D_i / (M - 1) as weights, the global
+    Q2 is 1 - sum R_i / sum D_i over the defined nodes (R_i residual, D_i
+    centered sum of squares). The modes are orthonormal, so over all nodes
+    sum_i R_i(l) = |T0|^2 - 2 sum_{k<=l} s_k <P_k, C_k> + sum_{k<=l} s_k^2 |C_k|^2,
+    with T0 the true matrix minus the mean field, P = Psi^T T0, C the
+    coefficients and s_k = sqrt(lambda_k). The masked nodes' residuals are
+    subtracted on their own rows.
+    """
+    denom, defined = _q2_denominators(true_matrix)
+    total_denom = denom[defined].sum()
+    if total_denom <= 0.0:
+        raise DataError("no variance on unmasked nodes")
+    L = coeff.shape[0]
+    s = np.sqrt(basis.eigenvalues[:L])
+    modes = basis.modes[:, :L]
+    t0 = true_matrix - basis.mean_field[:, None]
+    p = modes.T @ t0
+    per_mode = s * (s * np.einsum("km,km->k", coeff, coeff)
+                    - 2.0 * np.einsum("km,km->k", p, coeff))
+    residual = np.einsum("im,im->", t0, t0) + np.cumsum(per_mode)
+    masked = ~defined
+    masked_error = t0[masked]
+    masked_weighted = modes[masked] * s
+    for k in range(L):
+        masked_error -= np.outer(masked_weighted[:, k], coeff[k])
+        residual[k] -= np.einsum("im,im->", masked_error, masked_error)
+    return (1.0 - residual / total_denom).tolist()

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plumerom.cli import main
+import plumerom
+from plumerom.cli import THREAD_VARIABLES, main
 from plumerom.smx import read_smx, write_smx
 
 
@@ -203,3 +208,63 @@ def test_missing_dataset_is_data_error(tmp_path):
 def test_bad_grid_is_config_error(tmp_path):
     assert main(["generate", "--out", str(tmp_path / "g"),
                  "--n", "10", "--grid", "banana"]) == 2
+
+
+def run_python(args, **env_vars):
+    """Run a fresh interpreter on this package with no BLAS thread variable
+    set, apart from ``env_vars``; returns its standard output."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    src = str(Path(plumerom.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_vars)
+    result = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    return result.stdout
+
+
+def test_library_import_loads_no_numpy_and_keeps_environment():
+    out = run_python(["-c", (
+        "import os, sys\n"
+        "before = dict(os.environ)\n"
+        "import plumerom\n"
+        "print('numpy' in sys.modules, dict(os.environ) == before)\n"
+        "from plumerom import ConfigError, train\n"
+        "print(train.__module__, ConfigError.__module__)"
+    )])
+    assert out.split() == ["False", "True", "plumerom.rom", "plumerom.errors"]
+
+
+@pytest.mark.parametrize("variable", [None, *THREAD_VARIABLES])
+def test_cli_import_sets_one_blas_thread_unless_user_chose(variable):
+    out = run_python(["-c", (
+        "import os\n"
+        "import plumerom.cli\n"
+        "print(*(os.environ.get(v) for v in plumerom.cli.THREAD_VARIABLES))"
+    )], **({} if variable is None else {variable: "3"}))
+    if variable is None:
+        assert out.split() == ["1", "1", "1"]
+    else:
+        assert out.split() == ["3" if v == variable else "None" for v in THREAD_VARIABLES]
+
+
+@pytest.mark.parametrize("env_vars, expected", [
+    ({}, {"count": 1, "source": "default"}),
+    ({"OPENBLAS_NUM_THREADS": "2"}, {"count": 2, "source": "OPENBLAS_NUM_THREADS"}),
+])
+def test_run_config_records_blas_threads(tmp_path, env_vars, expected):
+    out = tmp_path / "data"
+    run_python(["-m", "plumerom.cli", "generate", "--out", str(out), "--n", "5",
+                "--grid", "41x21"], **env_vars)
+    run_config = json.loads((out / "run_config.json").read_text())
+    assert run_config["blas_threads"] == expected
+    assert "blas_threads" not in run_config["config"]
+
+
+def test_cli_import_after_numpy_leaves_environment():
+    out = run_python(["-c", (
+        "import os\n"
+        "import numpy\n"
+        "import plumerom.cli\n"
+        "print(plumerom.cli.BLAS_THREADS['count'], os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )])
+    assert out.split() == ["None", "None"]

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotri
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
-from plumerom import ConfigError
+from plumerom import ConfigError, NumericalError
 from plumerom import gpr
 from plumerom.priors import gamma_from_mode_mean, gamma_from_mode_variance
 
@@ -27,6 +29,43 @@ def gp_sample(n, theta, seed, dim=4):
     cov = gpr.kernel_matrix(x, x, theta) + theta.noise_var * np.eye(n)
     y = np.linalg.cholesky(cov) @ rng.standard_normal(n)
     return x, y
+
+
+def reference_mll_and_grad(x, y, theta):
+    """MLL and log-space gradient by the unoptimized formula (test oracle):
+    a full symmetric K^-1 and the dense alpha alpha^T - K^-1 product.
+
+    Returns (value, gradient, jitter added, gradient scale). Each gradient
+    component is a sum over n^2 terms; its scale is the sum of the terms'
+    magnitudes, which bounds the rounding error of any summation order.
+    """
+    n = x.shape[0]
+    sqd = (x.T[:, :, None] - x.T[:, None, :]) ** 2
+    inv_ls2 = 1.0 / np.asarray(theta.lengthscales) ** 2
+    d = np.sqrt(np.tensordot(inv_ls2, sqd, axes=1))
+    decay = np.exp(-gpr.SQRT5 * d)
+    kernel = theta.signal_var * (1.0 + gpr.SQRT5 * d + (5.0 / 3.0) * d**2) * decay
+    k = kernel + theta.noise_var * np.eye(n)
+    jitter = 0.0
+    try:
+        chol = cho_factor(k, lower=True)
+    except np.linalg.LinAlgError:
+        jitter = gpr.JITTER
+        chol = cho_factor(k + jitter * np.eye(n), lower=True)
+    alpha = cho_solve(chol, y)
+    value = (-0.5 * float(y @ alpha) - float(np.log(np.diagonal(chol[0])).sum())
+             - 0.5 * n * math.log(2.0 * math.pi))
+    k_inv = dpotri(chol[0], lower=True)[0]
+    upper = np.triu_indices(n, 1)
+    k_inv[upper] = k_inv.T[upper]
+    a_mat = np.outer(alpha, alpha) - k_inv
+    # grad_j = 0.5 * sum(a_mat * dK/dlog(theta_j))
+    d_kernel = [theta.noise_var * np.eye(n), kernel]
+    base = theta.signal_var * (5.0 / 3.0) * decay * (1.0 + gpr.SQRT5 * d)
+    d_kernel += [base * sqd[i] * inv_ls2[i] for i in range(4)]
+    grad = np.array([0.5 * np.sum(a_mat * dk) for dk in d_kernel])
+    scale = np.array([0.5 * np.sum(np.abs(a_mat * dk)) for dk in d_kernel])
+    return value, grad, jitter, scale
 
 
 class TestKernel:
@@ -156,6 +195,32 @@ class TestMarginalLikelihood:
             vm, _ = problem.mll_and_grad(gpr.Hyperparameters.from_log_vector(minus))
             fd = (vp - vm) / (2.0 * h)
             assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+    @pytest.mark.parametrize("n, noise_var", [(1, 0.0), (10, 0.05), (50, 1e-3), (200, 1e-4)])
+    def test_matches_reference_formula(self, n, noise_var):
+        rng = np.random.default_rng(n)
+        x = rng.random((n, 4))
+        y = rng.standard_normal(n)
+        theta = gpr.Hyperparameters(noise_var, 1.3, (0.4, 0.7, 0.3, 1.1))
+        value, grad = gpr.MllProblem(x, y).mll_and_grad(theta)
+        ref_value, ref_grad, _, _ = reference_mll_and_grad(x, y, theta)
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+    def test_jitter_path_matches_reference_formula(self):
+        # duplicated noiseless rows: the kernel is singular without jitter.
+        # K^-1 then has entries near 1/JITTER, so the gradient sums cancel
+        # and are fixed only to 1e-12 of their terms' magnitudes.
+        x = np.tile(np.random.default_rng(16).random((5, 4)), (2, 1))
+        y = np.concatenate([np.arange(5.0)] * 2)
+        theta = gpr.Hyperparameters(0.0, 1.0, (0.5, 0.5, 0.5, 0.5))
+        problem = gpr.MllProblem(x, y)
+        value, grad = problem.mll_and_grad(theta)
+        ref_value, ref_grad, ref_jitter, scale = reference_mll_and_grad(x, y, theta)
+        assert ref_jitter == gpr.JITTER
+        assert problem.jitter_events == 1
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        assert np.all(np.abs(grad - ref_grad) <= 1e-12 * scale)
 
     def test_modeling_noise_pays_off(self):
         # targets drawn with extra noise: on average the MLL at the true
@@ -297,6 +362,22 @@ class TestOptimizers:
         gpr.optimize_mll(x, y, n_restarts=15, seed=4)
         t_mll = time.perf_counter() - t0
         assert t_map <= t_mll / 10.0
+
+    def test_failed_evaluations_never_reported_converged(self, monkeypatch):
+        from plumerom.priors import build_priors
+
+        x, y = gp_sample(30, gpr.Hyperparameters(0.01, 1.0, (0.3,) * 4), seed=17)
+
+        def never_factorizes(kernel, noise_var):
+            raise NumericalError("forced failure")
+
+        monkeypatch.setattr(gpr, "_factorize", never_factorizes)
+        _, diag = gpr.optimize_map(x, y, build_priors(1, (2.16e-4, 0.93)))
+        assert diag["converged"] is False
+        assert diag["best_value"] is None
+        assert diag["failed_evaluations"] == diag["nfev"] >= 1
+        with pytest.raises(NumericalError, match="every MLL restart"):
+            gpr.optimize_mll(x, y, n_restarts=3, seed=0)
 
     def test_jitter_recorded_once(self):
         # duplicated noiseless rows make the kernel singular; the single

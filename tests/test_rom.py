@@ -8,6 +8,14 @@ from plumerom.sampling import to_physical, to_unit
 from conftest import regenerate
 
 
+def explicit_truncated_q2(basis, coeff, true, l):
+    """Global Q2 of the reconstruction from the first ``l`` modes, built in
+    full (reference for the closed form in ``robustness_sweep``)."""
+    weighted = coeff[:l] * np.sqrt(basis.eigenvalues[:l])[:, None]
+    truncated = basis.modes[:, :l] @ weighted + basis.mean_field[:, None]
+    return rom.q2_global(rom.q2_scores(true, truncated), rom.node_variance(true))
+
+
 @pytest.fixture(scope="module")
 def tiny_dataset(space):
     return generate_dataset(space, 40, Grid(nx=41, nz=21), seed=5)
@@ -196,6 +204,27 @@ class TestQ2Metrics:
         weights = np.array([1.0, 100.0, 1.0])
         assert rom.q2_global(q2, weights) == pytest.approx(0.75)
 
+    def test_truncation_closed_form_matches_explicit(self):
+        # constant rows are masked nodes where the modes still predict
+        # variation, so their residuals must be subtracted exactly
+        rng = np.random.default_rng(3)
+        n_nodes, L, m = 30, 6, 12
+        modes, _ = np.linalg.qr(rng.standard_normal((n_nodes, L)))
+        eigenvalues = np.sort(rng.uniform(0.5, 4.0, L))[::-1]
+        basis = pod.ReducedBasis(
+            mean_field=rng.standard_normal(n_nodes), modes=modes,
+            eigenvalues=eigenvalues, spectrum=eigenvalues,
+            total_variance=float(eigenvalues.sum()), n_train=m,
+            node_variance=np.ones(n_nodes),
+        )
+        true = rng.standard_normal((n_nodes, m))
+        true[:4] = rng.standard_normal((4, 1))
+        coeff = rng.standard_normal((L, m))
+        closed_form = rom._q2_by_truncation(basis, coeff, true)
+        for l in range(1, L + 1):
+            expected = explicit_truncated_q2(basis, coeff, true, l)
+            assert abs(closed_form[l - 1] - expected) <= 1e-12
+
     def test_eq28_identity_pod_self_reconstruction(self, tiny_dataset):
         # weighted local Q2 of pure POD reconstruction == cumulative variance
         train_set, _, _ = rom.split(tiny_dataset, (0.6, 0.15, 0.25))
@@ -294,6 +323,23 @@ class TestRobustnessSweep:
             assert set(r["q2_by_L"]) == set(range(1, l_max + 1))
             assert r["q2_global"] == max(r["q2_by_L"].values())
             assert len(r["q2_per_mode"]) == l_max
+
+    def test_q2_by_L_matches_explicit_reconstruction(self, space):
+        dataset = generate_dataset(space, 60, Grid(nx=41, nz=21), seed=9)
+        size = 24
+        (result,) = rom.robustness_sweep(dataset, [size], method="prior", seed=0)
+        # the sweep's model, rebuilt as robustness_sweep builds it
+        full_train, _, test = rom.split(dataset)
+        n_pod = int(round(0.9 * size))
+        model = rom.train(full_train.subset(range(n_pod)),
+                          full_train.subset(range(n_pod, size)), n_pod - 1, "prior",
+                          seed=0, gp_on_union=True)
+        coeff, _ = rom._posterior_coefficients(model, test.unit_inputs())
+        _, defined = rom._q2_denominators(test.matrix())
+        assert not defined.all()  # the masked rows are exercised
+        for l in (1, 7, n_pod - 1):
+            expected = explicit_truncated_q2(model.basis, coeff, test.matrix(), l)
+            assert abs(result["q2_by_L"][l] - expected) <= 1e-12
 
     def test_size_bounds_checked(self, space):
         dataset = generate_dataset(space, 60, Grid(nx=41, nz=21), seed=10)
