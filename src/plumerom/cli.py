@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -62,7 +63,6 @@ DEFAULTS = {
     "seed": 0,
     "L": 100,
     "method": "map",
-    "jobs": 1,
     "split": "test",
     "sizes": "50,100",
     "noise_amplitude": DEFAULT_NOISE_AMPLITUDE,
@@ -150,28 +150,28 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    keys = ("L", "method", "seed", "jobs")
+    keys = ("L", "method", "seed")
     resolved = _resolve(args, keys)
     dataset = SnapshotSet.load(args.dataset)
     train_set, calib_set, _ = rom.split(dataset)
     out = _prepare_out(args.out, args.force)
+    t0 = time.perf_counter()
     model = rom.train(
         train_set,
         calib_set,
         int(resolved["L"]),
         resolved["method"],
         int(resolved["seed"]),
-        n_jobs=int(resolved["jobs"]),
     )
+    wall = time.perf_counter() - t0
     model.save(out)
     resolved["dataset"] = str(args.dataset)
     _write_run_config(out, "train", resolved)
 
     rows = model.training_summary()
     total_iters = sum(r["iterations"] for r in rows)
-    wall = sum(g.diagnostics.get("wall_time", 0.0) for g in model.gps)
     print(f"trained {model.L} modes with method={model.method} "
-          f"(total optimizer iterations {total_iters}, optimizer time {wall:.1f}s)")
+          f"(total optimizer iterations {total_iters}, training time {wall:.1f}s)")
     print("mode  noise_var  signal_var  l_u_zc   l_z0     l_x_src  l_z_src  s2/rho   iters")
     for r in rows:
         ls = r["lengthscales"]
@@ -183,12 +183,9 @@ def cmd_train(args) -> int:
 
 def _parse_point(text: str) -> np.ndarray:
     try:
-        values = np.array([float(v) for v in text.split(",")])
+        return np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
-        raise ConfigError(f"expected 4 comma-separated numbers, got {text!r}") from exc
-    if values.shape != (4,):
-        raise ConfigError(f"expected 4 components, got {values.size}")
-    return values
+        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
 def cmd_predict(args) -> int:
@@ -239,7 +236,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_robustness(args) -> int:
-    keys = ("sizes", "method", "seed", "jobs")
+    keys = ("sizes", "method", "seed")
     resolved = _resolve(args, keys)
     sizes = [int(v) for v in str(resolved["sizes"]).split(",") if v]
     if not sizes:
@@ -248,7 +245,6 @@ def cmd_robustness(args) -> int:
     out = _prepare_out(args.out, args.force)
     results = rom.robustness_sweep(
         dataset, sizes, method=resolved["method"], seed=int(resolved["seed"]),
-        n_jobs=int(resolved["jobs"]),
     )
     with open(out / "sweep.csv", "w", newline="") as fh:
         fh.write("size,L_opt,q2_global,runtime\n")
@@ -309,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--L", type=int, default=None, help="retained POD modes")
     p.add_argument("--method", default=None, choices=["mll", "map", "prior"])
-    p.add_argument("--jobs", type=int, default=None, help="worker threads")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict a field at one parameter point")
@@ -334,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--sizes", default=None, help="comma list, e.g. 50,100")
     p.add_argument("--method", default=None, choices=["mll", "map", "prior"])
-    p.add_argument("--jobs", type=int, default=None, help="worker threads")
     p.set_defaults(func=cmd_robustness)
 
     return parser

@@ -11,7 +11,6 @@ many random starts (MLL) or from the prior modes in a single descent (MAP).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,6 @@ SQRT5 = math.sqrt(5.0)
 JITTER = 1e-8
 # What the minimizer sees for an evaluation whose kernel did not factorize.
 FAILED_OBJECTIVE = 1e30
-N_HYPERS = 6  # noise, signal, 4 length-scales
 
 # Optimization box in natural space (log-space inside the optimizer). The
 # signal-variance cap of 2 matches the whitened-coefficient setting, where
@@ -51,7 +49,7 @@ class Hyperparameters:
 
     noise_var: float
     signal_var: float
-    lengthscales: tuple[float, float, float, float]
+    lengthscales: tuple[float, ...]
 
     def __post_init__(self):
         if self.noise_var < 0.0:
@@ -67,7 +65,7 @@ class Hyperparameters:
     @classmethod
     def from_log_vector(cls, v) -> "Hyperparameters":
         v = np.exp(np.asarray(v, dtype=float))
-        return cls(noise_var=v[0], signal_var=v[1], lengthscales=tuple(v[2:6]))
+        return cls(noise_var=v[0], signal_var=v[1], lengthscales=tuple(v[2:]))
 
     def to_dict(self) -> dict:
         return {
@@ -153,7 +151,7 @@ class PriorSet:
 
     noise: GammaPrior | None
     signal: GaussianPrior | None
-    lengthscales: tuple[GammaPrior, GammaPrior, GammaPrior, GammaPrior] | None
+    lengthscales: tuple[GammaPrior, ...] | None
 
     @classmethod
     def flat(cls) -> "PriorSet":
@@ -173,7 +171,7 @@ class PriorSet:
     def log_density_and_grad(self, theta: Hyperparameters) -> tuple[float, np.ndarray]:
         """Log prior density at theta and its gradient w.r.t. log-theta."""
         value = 0.0
-        grad = np.zeros(N_HYPERS)
+        grad = np.zeros(2 + len(theta.lengthscales))
         if self.noise is not None:
             value += self.noise.logpdf(theta.noise_var)
             grad[0] = self.noise.dlogpdf_dlog(theta.noise_var)
@@ -181,6 +179,7 @@ class PriorSet:
             value += self.signal.logpdf(theta.signal_var)
             grad[1] = self.signal.dlogpdf_dlog(theta.signal_var)
         if self.lengthscales is not None:
+            _check_dim(theta, len(self.lengthscales))
             for i, g in enumerate(self.lengthscales):
                 value += g.logpdf(theta.lengthscales[i])
                 grad[2 + i] = g.dlogpdf_dlog(theta.lengthscales[i])
@@ -196,14 +195,10 @@ class PriorSet:
         }
 
 
-def ard_distance(a, b, lengthscales) -> float:
-    """Anisotropic distance sqrt(sum_i ((a_i-b_i)/lambda_i)^2)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    lengthscales = np.asarray(lengthscales, dtype=float)
-    if np.any(lengthscales <= 0.0):
-        raise ConfigError("lengthscales must be positive")
-    return float(np.sqrt(np.sum(((a - b) / lengthscales) ** 2)))
+def _check_dim(theta: Hyperparameters, dim: int) -> None:
+    if len(theta.lengthscales) != dim:
+        raise ConfigError(f"theta has {len(theta.lengthscales)} length-scales "
+                          f"for {dim}-dimensional inputs")
 
 
 def matern52(d, signal_var: float = 1.0):
@@ -223,6 +218,7 @@ def _sq_diffs(x1: np.ndarray, x2: np.ndarray | None = None) -> np.ndarray:
 
 
 def _kernel_from_sq_diffs(sqd: np.ndarray, theta: Hyperparameters) -> np.ndarray:
+    _check_dim(theta, sqd.shape[0])
     ls = np.asarray(theta.lengthscales)
     d = np.sqrt(np.tensordot(1.0 / ls**2, sqd, axes=1))
     return matern52(d, theta.signal_var)
@@ -289,22 +285,6 @@ def fit_gp(inputs, targets, theta: Hyperparameters, diagnostics: dict | None = N
     )
 
 
-def posterior(model: GpModel, test_inputs) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and full covariance at the test inputs."""
-    test_inputs = np.atleast_2d(np.asarray(test_inputs, dtype=float))
-    k_cross = kernel_matrix(model.inputs, test_inputs, model.theta)
-    mean = k_cross.T @ model.alpha
-    v = solve_triangular(model.chol[0], k_cross, lower=True)
-    cov = kernel_matrix(test_inputs, test_inputs, model.theta) - v.T @ v
-    cov = 0.5 * (cov + cov.T)
-    diag = np.diagonal(cov)
-    if diag.min() < -1e-8:
-        raise NumericalError(f"posterior variance {diag.min():.3e} below tolerance")
-    idx = np.diag_indices_from(cov)
-    cov[idx] = np.maximum(diag, 0.0)
-    return mean, cov
-
-
 def posterior_mean_var(model: GpModel, test_inputs) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and marginal variance only (cheaper than full cov)."""
     test_inputs = np.atleast_2d(np.asarray(test_inputs, dtype=float))
@@ -336,6 +316,7 @@ class MllProblem:
 
     def mll_and_grad(self, theta: Hyperparameters) -> tuple[float, np.ndarray]:
         """MLL value and gradient w.r.t. log(theta), both analytic."""
+        _check_dim(theta, self.sqd.shape[0])
         inv_ls2 = 1.0 / np.asarray(theta.lengthscales) ** 2
         # Three n x n buffers, each filled in place: the scaled distance d,
         # exp(-sqrt5 d) and 1 + sqrt5 d. d's buffer then becomes the kernel.
@@ -369,7 +350,7 @@ class MllProblem:
             raise NumericalError(f"dpotri failed with info={info}")
         neg_a = dsyr(-1.0, alpha, lower=True, a=inv, overwrite_a=True).T
         neg_a *= self._triangle_weights
-        grad = np.empty(N_HYPERS)
+        grad = np.empty(2 + inv_ls2.size)
         grad[0] = -0.5 * theta.noise_var * np.trace(neg_a)
         # einsum, not np.vdot: with a multi-threaded BLAS, a numpy BLAS dot
         # between scipy's LAPACK calls wakes a second thread pool, which made
@@ -390,24 +371,26 @@ class MllProblem:
         return value + p_value, grad + p_grad
 
 
-def _log_bounds() -> list[tuple[float, float]]:
+def _log_bounds(dim: int) -> list[tuple[float, float]]:
     b = DEFAULT_BOUNDS
     out = [
         (math.log(b["noise_var"][0]), math.log(b["noise_var"][1])),
         (math.log(b["signal_var"][0]), math.log(b["signal_var"][1])),
     ]
-    out += [(math.log(b["lengthscale"][0]), math.log(b["lengthscale"][1]))] * 4
+    out += [(math.log(b["lengthscale"][0]), math.log(b["lengthscale"][1]))] * dim
     return out
 
 
-def _descend(objective, start: Hyperparameters, gtol: float, maxiter: int):
-    """One quasi-Newton trajectory maximizing ``objective`` in log-space.
+def _descend(objective, start: Hyperparameters, dim: int, gtol: float, maxiter: int):
+    """One quasi-Newton trajectory maximizing ``objective`` in log-space over
+    theta for ``dim``-dimensional inputs.
 
     Returns (theta, objective value, trajectory record). A failed evaluation
     reads as a flat plateau to L-BFGS-B, which may then stop and report
     success; when the returned theta never factorized, the value is None and
     the trajectory is not converged.
     """
+    _check_dim(start, dim)
     failed = 0
 
     def negated(log_theta):
@@ -417,7 +400,7 @@ def _descend(objective, start: Hyperparameters, gtol: float, maxiter: int):
             value, grad = objective(theta)
         except NumericalError:
             failed += 1
-            return FAILED_OBJECTIVE, np.zeros(N_HYPERS)
+            return FAILED_OBJECTIVE, np.zeros_like(log_theta)
         return -value, -grad
 
     result = sp_optimize.minimize(
@@ -425,7 +408,7 @@ def _descend(objective, start: Hyperparameters, gtol: float, maxiter: int):
         start.to_log_vector(),
         jac=True,
         method="L-BFGS-B",
-        bounds=_log_bounds(),
+        bounds=_log_bounds(dim),
         # ftol is relative; below ~1e-10 it drowns in the rounding noise of
         # the objective's sum over n points and line searches fail spuriously.
         options={"maxiter": maxiter, "gtol": gtol, "ftol": 1e-10},
@@ -443,7 +426,7 @@ def _descend(objective, start: Hyperparameters, gtol: float, maxiter: int):
     return Hyperparameters.from_log_vector(result.x), value, record
 
 
-def _sample_start(rng: np.random.Generator) -> Hyperparameters:
+def _sample_start(rng: np.random.Generator, dim: int) -> Hyperparameters:
     def log_uniform(lo, hi):
         return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
@@ -451,7 +434,7 @@ def _sample_start(rng: np.random.Generator) -> Hyperparameters:
         noise_var=log_uniform(*RESTART_BOX["noise_var"]),
         signal_var=log_uniform(*RESTART_BOX["signal_var"]),
         lengthscales=tuple(
-            log_uniform(*RESTART_BOX["lengthscale"]) for _ in range(4)
+            log_uniform(*RESTART_BOX["lengthscale"]) for _ in range(dim)
         ),
     )
 
@@ -474,10 +457,10 @@ def optimize_mll(
     rng = np.random.Generator(np.random.Philox(seed))
     trajectories = []
     best = None
-    t0 = time.perf_counter()
+    dim = inputs.shape[1]
     for _ in range(n_restarts):
         theta, value, record = _descend(
-            problem.mll_and_grad, _sample_start(rng), gtol, maxiter
+            problem.mll_and_grad, _sample_start(rng, dim), dim, gtol, maxiter
         )
         trajectories.append(record)
         if value is None:
@@ -496,7 +479,6 @@ def optimize_mll(
         "failed_evaluations": sum(t["failed_evaluations"] for t in trajectories),
         "best_value": best[1],
         "jitter_events": problem.jitter_events,
-        "wall_time": time.perf_counter() - t0,
     }
     return best[0], diagnostics
 
@@ -517,9 +499,9 @@ def optimize_map(
         raise ConfigError("MAP optimization needs at least 4 training points")
     problem = MllProblem(inputs, targets, sq_diffs=sq_diffs)
     start = start or priors.start_point()
-    t0 = time.perf_counter()
     theta, value, record = _descend(
-        lambda th: problem.log_posterior_and_grad(th, priors), start, gtol, maxiter
+        lambda th: problem.log_posterior_and_grad(th, priors), start,
+        inputs.shape[1], gtol, maxiter,
     )
     diagnostics = {
         "method": "map",
@@ -531,6 +513,5 @@ def optimize_map(
         "converged": record["converged"],
         "message": record["message"],
         "jitter_events": problem.jitter_events,
-        "wall_time": time.perf_counter() - t0,
     }
     return theta, diagnostics

@@ -16,7 +16,6 @@ by H^2 / Q_s (the flux already carries a velocity scale).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -206,11 +205,6 @@ def _sigmoid(v):
     return 1.0 / (1.0 + np.exp(-np.clip(v, -60.0, 60.0)))
 
 
-@functools.lru_cache(maxsize=8)
-def _cached_reference_velocity(space: ParameterSpace) -> float:
-    return reference_velocity(space, n_mc=100_000, seed=0)
-
-
 def _analytic_plume(mu: ParameterSample, grid: Grid, space: ParameterSpace):
     """Noiseless concentration field and its vertical derivative, unnormalized."""
     u_zc, z0, x_src, z_src = mu.physical
@@ -301,6 +295,8 @@ def generate_field(
 
     Deterministic: identical (mu, seed, window_fraction) give bit-identical
     fields. ``noise_amplitude=0`` is the exact analytic field (test hook).
+    Without ``u_tau_ref`` the concentration is normalized by the closed-form
+    ``reference_velocity(space)``, the value ``generate_dataset`` records.
     """
     if not 0.0 < window_fraction <= 1.0:
         raise ConfigError("window_fraction must lie in (0, 1]")
@@ -312,7 +308,7 @@ def generate_field(
             f"source ({mu.x_src}, {mu.z_src}) lies inside the obstacle exclusion box"
         )
     if u_tau_ref is None:
-        u_tau_ref = _cached_reference_velocity(space)
+        u_tau_ref = reference_velocity(space)
 
     conc, flux = _analytic_plume(mu, grid, space)
     if channel == "mean_concentration":
@@ -346,14 +342,15 @@ def generate_dataset(
 ) -> SnapshotSet:
     """Generate ``n`` full-window snapshots plus half-window companions.
 
-    The normalization constant u_tau_ref is estimated once and recorded in
-    the manifest together with everything needed to regenerate the set.
+    The normalization constant u_tau_ref = E[u_tau] is computed once in
+    closed form from the space (it does not depend on ``seed``) and recorded
+    in the manifest together with everything needed to regenerate the set.
     """
     if n < 2:
         raise ConfigError("a dataset needs at least 2 snapshots")
     grid = grid or Grid()
     plan = design(space, n, start_index)
-    u_tau_ref = reference_velocity(space, n_mc=100_000, seed=seed)
+    u_tau_ref = reference_velocity(space)
 
     kwargs = dict(space=space, u_tau_ref=u_tau_ref, noise_amplitude=noise_amplitude,
                   t_avg_periods=t_avg_periods)

@@ -205,36 +205,6 @@ def cumulative_variance(spectrum) -> np.ndarray:
     return np.cumsum(values) / total
 
 
-def kaiser_rule(eigenvalues, fraction: float = 0.7) -> int:
-    """Largest L with sigma_L >= fraction * mean(sigma)."""
-    if fraction <= 0.0:
-        raise ConfigError("fraction must be positive")
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
-    keep = eigenvalues >= fraction * eigenvalues.mean()
-    return int(np.nonzero(keep)[0][-1] + 1) if keep.any() else 0
-
-
-def elbow_rule(eigenvalues) -> tuple[int, bool]:
-    """Truncation from the first sign change of the spectrum's second difference.
-
-    Returns (L, found). Scanning d2(L) = sigma_L - 2 sigma_{L+1} + sigma_{L+2},
-    the elbow is the smallest L where d2 flips sign against d2(L-1). Spectra
-    with single-signed curvature (e.g. geometric decay) have no elbow: the
-    full usable length is returned with found=False.
-    """
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
-    m = eigenvalues.size
-    if m < 3:
-        raise DataError("elbow rule needs at least 3 eigenvalues")
-    d2 = eigenvalues[:-2] - 2.0 * eigenvalues[1:-1] + eigenvalues[2:]
-    signs = np.sign(d2)
-    signs[signs == 0.0] = 1.0
-    changes = np.nonzero(signs[1:] != signs[:-1])[0]
-    if changes.size == 0:
-        return m, False
-    return int(changes[0] + 2), True  # d2 index offset: d2[i] sits at L = i+1
-
-
 def correlation_map(basis: ReducedBasis, l: int) -> np.ndarray:
     """Per-node correlation between mode l (1-based) and the ensemble.
 

@@ -11,7 +11,6 @@ the basis).
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import time
@@ -201,7 +200,7 @@ def _train_one_mode(method, inputs, targets, prior_set, seed, l, sq_diffs):
         theta = prior_set.start_point()
         diag = {"method": "prior", "total_iterations": 0, "nfev": 0,
                 "failed_evaluations": 0, "best_value": None, "converged": True,
-                "jitter_events": 0, "wall_time": 0.0}
+                "jitter_events": 0}
     else:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
     return gpr.fit_gp(inputs, targets, theta, diagnostics=diag)
@@ -214,7 +213,6 @@ def train(
     method: str = "map",
     seed: int = 0,
     *,
-    n_jobs: int = 1,
     gp_on_union: bool = False,
 ) -> RomModel:
     """Fit the POD basis on the training split and one GP per retained mode.
@@ -247,15 +245,8 @@ def train(
         }
 
     sq_diffs = gpr._sq_diffs(inputs)
-    jobs = [
-        (method, inputs, targets[l], prior_sets[l], seed, l, sq_diffs)
-        for l in range(L)
-    ]
-    if n_jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            gps = list(pool.map(lambda args: _train_one_mode(*args), jobs))
-    else:
-        gps = [_train_one_mode(*args) for args in jobs]
+    gps = [_train_one_mode(method, inputs, targets[l], prior_sets[l], seed, l, sq_diffs)
+           for l in range(L)]
 
     split_manifest = {
         "train": train_set.manifest.get("subset", {"hash": _subset_hash(train_set)}),
@@ -431,8 +422,6 @@ def robustness_sweep(
     L_grid=None,
     method: str = "map",
     seed: int = 0,
-    *,
-    n_jobs: int = 1,
 ) -> list[dict]:
     """Accuracy versus training-set size, on the fixed full-split test set.
 
@@ -462,8 +451,7 @@ def robustness_sweep(
         grid_l = [l for l in (L_grid or range(1, l_max + 1)) if 1 <= l <= l_max]
         if not grid_l:
             raise ConfigError(f"no admissible L for size {size} (max {l_max})")
-        model = train(pod_set, calib_set, max(grid_l), method, seed,
-                      n_jobs=n_jobs, gp_on_union=True)
+        model = train(pod_set, calib_set, max(grid_l), method, seed, gp_on_union=True)
         coeff_mean, _ = _posterior_coefficients(model, test.unit_inputs())
         per_mode = q2_scores(pod.project(model.basis, test.matrix()), coeff_mean)
         q2_all = _q2_by_truncation(model.basis, coeff_mean, test.matrix())

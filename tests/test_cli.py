@@ -62,6 +62,17 @@ def test_train_outputs(pipeline):
     assert (model / "gps.smx").exists()
 
 
+def test_train_rerun_byte_identical(pipeline, tmp_path):
+    _, data, model = pipeline
+    again = tmp_path / "again"
+    assert main(["train", "--dataset", str(data), "--out", str(again),
+                 "--L", "4", "--method", "map", "--seed", "0"]) == 0
+    names = sorted(p.name for p in model.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (again / name).read_bytes() == (model / name).read_bytes(), name
+
+
 def test_train_split_independent_of_method(pipeline, tmp_path):
     _, data, model = pipeline
     prior_dir = tmp_path / "prior_model"
@@ -123,6 +134,12 @@ def test_predict_rejects_out_of_bounds(pipeline, tmp_path):
     assert code == 2
     code = main(["predict", "--model", str(model), "--out", str(tmp_path / "p3"),
                  "--unit", "1.5,0.5,0.9,0.9"])
+    assert code == 2
+    code = main(["predict", "--model", str(model), "--out", str(tmp_path / "p4"),
+                 "--mu", "5.0,1e-2,-1.0"])
+    assert code == 2
+    code = main(["predict", "--model", str(model), "--out", str(tmp_path / "p5"),
+                 "--unit", "0.5,0.5,0.9,0.9,0.5"])
     assert code == 2
 
 

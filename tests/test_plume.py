@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from plumerom import ConfigError, DataError
+from plumerom import ConfigError, DataError, ParameterSpace
 from plumerom import pod, rom, smx
 from plumerom.plume import Grid, SnapshotSet, generate_dataset, generate_field
-from plumerom.sampling import design, to_physical, to_unit
+from plumerom.sampling import design, reference_velocity, to_physical, to_unit
 from conftest import regenerate
 
 
@@ -130,6 +130,19 @@ class TestGenerateDataset:
         assert manifest["u_tau_ref"] == pytest.approx(0.37, abs=5e-3)
         assert manifest["n_skipped"] >= 0
         assert "space" in manifest and "seed" in manifest
+
+    def test_u_tau_ref_independent_of_seed(self, space):
+        refs = [generate_dataset(space, 2, Grid(nx=5, nz=3), seed=s).manifest["u_tau_ref"]
+                for s in (0, 1)]
+        assert refs[0] == refs[1] == reference_velocity(space)
+        assert refs[0] == pytest.approx(0.37008560, abs=5e-9)
+
+    def test_default_normalization_matches_dataset(self, dataset80_small):
+        m = dataset80_small.manifest
+        for i in (0, 79):
+            field = generate_field(dataset80_small.samples[i], dataset80_small.grid,
+                                   seed=m["seed"], space=ParameterSpace.from_dict(m["space"]))
+            assert np.array_equal(field.values, dataset80_small.matrix()[:, i])
 
     def test_follows_design_order(self, space, small_grid, dataset80_small):
         plan = design(space, 80, 1)

@@ -178,28 +178,6 @@ class TestTruncationRules:
         assert np.all(np.diff(q2) >= -1e-15)
         assert q2[-1] == pytest.approx(1.0)
 
-    def test_kaiser_hand_example(self):
-        assert pod.kaiser_rule(np.array([4.0, 2.0, 1.0, 1.0]), 0.7) == 2
-
-    def test_kaiser_all_equal(self):
-        assert pod.kaiser_rule(np.full(7, 2.5), 0.7) == 7
-
-    def test_elbow_geometric_no_sign_change(self):
-        spectrum = 2.0 ** -np.arange(1, 11)
-        level, found = pod.elbow_rule(spectrum)
-        assert not found
-        assert level == 10
-
-    def test_elbow_sign_change(self):
-        # second differences: 89, -3, 3.9 -> first flip at L = 2
-        level, found = pod.elbow_rule(np.array([100.0, 10.0, 9.0, 5.0, 4.9]))
-        assert found
-        assert level == 2
-
-    def test_elbow_needs_three(self):
-        with pytest.raises(DataError):
-            pod.elbow_rule(np.array([2.0, 1.0]))
-
 
 class TestCorrelationMap:
     def test_rank_one_unit_correlation(self):

@@ -84,13 +84,6 @@ class TestTrain:
         with pytest.raises(ConfigError):
             rom.train(train_set, None, 3, "map")
 
-    def test_jobs_do_not_change_results(self, tiny_dataset):
-        train_set, calib_set, _ = rom.split(tiny_dataset, (0.6, 0.15, 0.25))
-        serial = rom.train(train_set, calib_set, 4, "map", seed=1, n_jobs=1)
-        threaded = rom.train(train_set, calib_set, 4, "map", seed=1, n_jobs=4)
-        for gs, gt in zip(serial.gps, threaded.gps):
-            assert gs.theta == gt.theta
-
     def test_gp_on_union_extends_inputs(self, tiny_dataset):
         train_set, calib_set, _ = rom.split(tiny_dataset, (0.6, 0.15, 0.25))
         joint = rom.train(train_set, calib_set, 3, "map", seed=0, gp_on_union=True)
