@@ -68,6 +68,9 @@ DEFAULTS = {
     "noise_amplitude": DEFAULT_NOISE_AMPLITUDE,
     "t_avg_periods": T_AVG_PERIODS,
 }
+# A config file may also be a run_config.json, whose "config" holds the
+# provenance keys the commands write beside the settings.
+KNOWN_CONFIG_KEYS = set(DEFAULTS) | {"space", "dataset", "model", "mu", "unit"}
 
 
 def _resolve(args: argparse.Namespace, keys) -> dict:
@@ -79,7 +82,13 @@ def _resolve(args: argparse.Namespace, keys) -> dict:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        config = loaded.get("config", loaded)  # accept emitted run_config.json
+        # accept emitted run_config.json
+        config = loaded.get("config", loaded) if isinstance(loaded, dict) else loaded
+        if not isinstance(config, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
+        unknown = sorted(set(config) - KNOWN_CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"config {args.config} has unknown keys: {', '.join(unknown)}")
     resolved = {}
     for key in keys:
         value = getattr(args, key, None)

@@ -24,6 +24,12 @@ from .errors import ConfigError, NumericalError
 
 SQRT5 = math.sqrt(5.0)
 JITTER = 1e-8
+# L-BFGS-B stopping rule. ftol is relative; below ~1e-10 it drowns in the
+# rounding noise of the objective's sum over n points and line searches fail
+# spuriously.
+GTOL = 1e-6
+FTOL = 1e-10
+MAXITER = 500
 # What the minimizer sees for an evaluation whose kernel did not factorize.
 FAILED_OBJECTIVE = 1e30
 
@@ -143,25 +149,16 @@ class GaussianPrior:
 
 @dataclass(frozen=True)
 class PriorSet:
-    """Hyperparameter priors; any component set to None is flat (improper).
+    """Proper hyperparameter priors: Gamma on the noise variance and on each
+    length-scale, Gaussian on the signal variance."""
 
-    ``PriorSet.flat()`` contributes nothing, so the log-posterior degenerates
-    to the marginal log-likelihood.
-    """
-
-    noise: GammaPrior | None
-    signal: GaussianPrior | None
-    lengthscales: tuple[GammaPrior, ...] | None
-
-    @classmethod
-    def flat(cls) -> "PriorSet":
-        return cls(noise=None, signal=None, lengthscales=None)
+    noise: GammaPrior
+    signal: GaussianPrior
+    lengthscales: tuple[GammaPrior, ...]
 
     def start_point(self) -> Hyperparameters:
         """Gradient-descent start: Gamma components at their mode, the signal
         variance at its Gaussian mean."""
-        if self.noise is None or self.signal is None or self.lengthscales is None:
-            raise ConfigError("flat priors define no start point")
         return Hyperparameters(
             noise_var=self.noise.mode,
             signal_var=self.signal.mean,
@@ -170,28 +167,21 @@ class PriorSet:
 
     def log_density_and_grad(self, theta: Hyperparameters) -> tuple[float, np.ndarray]:
         """Log prior density at theta and its gradient w.r.t. log-theta."""
-        value = 0.0
-        grad = np.zeros(2 + len(theta.lengthscales))
-        if self.noise is not None:
-            value += self.noise.logpdf(theta.noise_var)
-            grad[0] = self.noise.dlogpdf_dlog(theta.noise_var)
-        if self.signal is not None:
-            value += self.signal.logpdf(theta.signal_var)
-            grad[1] = self.signal.dlogpdf_dlog(theta.signal_var)
-        if self.lengthscales is not None:
-            _check_dim(theta, len(self.lengthscales))
-            for i, g in enumerate(self.lengthscales):
-                value += g.logpdf(theta.lengthscales[i])
-                grad[2 + i] = g.dlogpdf_dlog(theta.lengthscales[i])
+        _check_dim(theta, len(self.lengthscales))
+        value = self.noise.logpdf(theta.noise_var) + self.signal.logpdf(theta.signal_var)
+        grad = np.empty(2 + len(theta.lengthscales))
+        grad[0] = self.noise.dlogpdf_dlog(theta.noise_var)
+        grad[1] = self.signal.dlogpdf_dlog(theta.signal_var)
+        for i, g in enumerate(self.lengthscales):
+            value += g.logpdf(theta.lengthscales[i])
+            grad[2 + i] = g.dlogpdf_dlog(theta.lengthscales[i])
         return value, grad
 
     def to_dict(self) -> dict:
         return {
-            "noise": None if self.noise is None else self.noise.to_dict(),
-            "signal": None if self.signal is None else self.signal.to_dict(),
-            "lengthscales": None
-            if self.lengthscales is None
-            else [g.to_dict() for g in self.lengthscales],
+            "noise": self.noise.to_dict(),
+            "signal": self.signal.to_dict(),
+            "lengthscales": [g.to_dict() for g in self.lengthscales],
         }
 
 
@@ -201,15 +191,6 @@ def _check_dim(theta: Hyperparameters, dim: int) -> None:
                           f"for {dim}-dimensional inputs")
 
 
-def matern52(d, signal_var: float = 1.0):
-    """Matern covariance at smoothness 5/2, length-scale absorbed into d."""
-    d = np.asarray(d, dtype=float)
-    if np.any(d < 0.0):
-        raise ConfigError("distance must be >= 0")
-    out = signal_var * (1.0 + SQRT5 * d + (5.0 / 3.0) * d**2) * np.exp(-SQRT5 * d)
-    return float(out) if out.ndim == 0 else out
-
-
 def _sq_diffs(x1: np.ndarray, x2: np.ndarray | None = None) -> np.ndarray:
     """Per-dimension squared differences, shape (dim, n1, n2)."""
     x1 = np.asarray(x1, dtype=float)
@@ -217,16 +198,33 @@ def _sq_diffs(x1: np.ndarray, x2: np.ndarray | None = None) -> np.ndarray:
     return (x1.T[:, :, None] - x2.T[:, None, :]) ** 2
 
 
-def _kernel_from_sq_diffs(sqd: np.ndarray, theta: Hyperparameters) -> np.ndarray:
+def _matern52(sqd: np.ndarray, theta: Hyperparameters):
+    """Matern-5/2 kernel rho (1 + sqrt5 d + 5/3 d^2) exp(-sqrt5 d) from the
+    per-dimension squared differences, d the length-scaled distance.
+
+    Returns (kernel, decay, ramp), with decay = exp(-sqrt5 d) and
+    ramp = 1 + sqrt5 d, which the MLL gradient reuses. Three buffers, each
+    filled in place; d's buffer becomes the kernel.
+    """
     _check_dim(theta, sqd.shape[0])
-    ls = np.asarray(theta.lengthscales)
-    d = np.sqrt(np.tensordot(1.0 / ls**2, sqd, axes=1))
-    return matern52(d, theta.signal_var)
+    d = np.tensordot(1.0 / np.asarray(theta.lengthscales) ** 2, sqd, axes=1)
+    np.sqrt(d, out=d)
+    decay = np.multiply(d, -SQRT5)
+    np.exp(decay, out=decay)
+    ramp = np.multiply(d, SQRT5)
+    ramp += 1.0
+    kernel = d
+    kernel *= kernel
+    kernel *= 5.0 / 3.0
+    kernel += ramp
+    kernel *= theta.signal_var
+    kernel *= decay
+    return kernel, decay, ramp
 
 
 def kernel_matrix(x1, x2, theta: Hyperparameters) -> np.ndarray:
     """Dense cross-covariance r(x1, x2) without noise."""
-    return _kernel_from_sq_diffs(_sq_diffs(x1, x2), theta)
+    return _matern52(_sq_diffs(x1, x2), theta)[0]
 
 
 def _factorize(kernel: np.ndarray, noise_var: float):
@@ -290,7 +288,9 @@ def posterior_mean_var(model: GpModel, test_inputs) -> tuple[np.ndarray, np.ndar
     test_inputs = np.atleast_2d(np.asarray(test_inputs, dtype=float))
     k_cross = kernel_matrix(model.inputs, test_inputs, model.theta)
     mean = k_cross.T @ model.alpha
-    v = solve_triangular(model.chol[0], k_cross, lower=True)
+    # The factor was finite when it was made, and rom checks query points
+    # where they enter, so scipy's scan of the n x n factor is skipped.
+    v = solve_triangular(model.chol[0], k_cross, lower=True, check_finite=False)
     var = model.theta.signal_var - np.einsum("ij,ij->j", v, v)
     return mean, np.maximum(var, 0.0)
 
@@ -298,15 +298,15 @@ def posterior_mean_var(model: GpModel, test_inputs) -> tuple[np.ndarray, np.ndar
 class MllProblem:
     """Marginal log-likelihood (and log-posterior) of one target vector.
 
-    Precomputes pairwise squared differences once; they can be shared across
-    problems on the same inputs via ``sq_diffs``.
+    Builds the pairwise squared differences of its inputs once; each
+    evaluation then builds the kernel from them with ``_matern52``.
     """
 
-    def __init__(self, inputs, targets, sq_diffs: np.ndarray | None = None):
+    def __init__(self, inputs, targets):
         self.inputs = np.asarray(inputs, dtype=float)
         self.targets = np.asarray(targets, dtype=float)
         self.n = self.inputs.shape[0]
-        self.sqd = _sq_diffs(self.inputs) if sq_diffs is None else sq_diffs
+        self.sqd = _sq_diffs(self.inputs)
         self.sqd_flat = self.sqd.reshape(self.sqd.shape[0], -1)
         self.jitter_events = 0
         # Sums over one triangle of a symmetric product, counted twice, plus
@@ -316,22 +316,7 @@ class MllProblem:
 
     def mll_and_grad(self, theta: Hyperparameters) -> tuple[float, np.ndarray]:
         """MLL value and gradient w.r.t. log(theta), both analytic."""
-        _check_dim(theta, self.sqd.shape[0])
-        inv_ls2 = 1.0 / np.asarray(theta.lengthscales) ** 2
-        # Three n x n buffers, each filled in place: the scaled distance d,
-        # exp(-sqrt5 d) and 1 + sqrt5 d. d's buffer then becomes the kernel.
-        d = np.tensordot(inv_ls2, self.sqd, axes=1)
-        np.sqrt(d, out=d)
-        decay = np.multiply(d, -SQRT5)
-        np.exp(decay, out=decay)
-        ramp = np.multiply(d, SQRT5)
-        ramp += 1.0
-        kernel = d
-        kernel *= kernel
-        kernel *= 5.0 / 3.0
-        kernel += ramp
-        kernel *= theta.signal_var
-        kernel *= decay
+        kernel, decay, ramp = _matern52(self.sqd, theta)
         chol, jitter = _factorize(kernel, theta.noise_var)
         if jitter:
             self.jitter_events += 1
@@ -350,6 +335,7 @@ class MllProblem:
             raise NumericalError(f"dpotri failed with info={info}")
         neg_a = dsyr(-1.0, alpha, lower=True, a=inv, overwrite_a=True).T
         neg_a *= self._triangle_weights
+        inv_ls2 = 1.0 / np.asarray(theta.lengthscales) ** 2
         grad = np.empty(2 + inv_ls2.size)
         grad[0] = -0.5 * theta.noise_var * np.trace(neg_a)
         # einsum, not np.vdot: with a multi-threaded BLAS, a numpy BLAS dot
@@ -381,7 +367,7 @@ def _log_bounds(dim: int) -> list[tuple[float, float]]:
     return out
 
 
-def _descend(objective, start: Hyperparameters, dim: int, gtol: float, maxiter: int):
+def _descend(objective, start: Hyperparameters, dim: int):
     """One quasi-Newton trajectory maximizing ``objective`` in log-space over
     theta for ``dim``-dimensional inputs.
 
@@ -409,9 +395,7 @@ def _descend(objective, start: Hyperparameters, dim: int, gtol: float, maxiter: 
         jac=True,
         method="L-BFGS-B",
         bounds=_log_bounds(dim),
-        # ftol is relative; below ~1e-10 it drowns in the rounding noise of
-        # the objective's sum over n points and line searches fail spuriously.
-        options={"maxiter": maxiter, "gtol": gtol, "ftol": 1e-10},
+        options={"maxiter": MAXITER, "gtol": GTOL, "ftol": FTOL},
     )
     factorized = bool(result.fun < FAILED_OBJECTIVE)
     value = -float(result.fun) if factorized else None
@@ -444,24 +428,18 @@ def optimize_mll(
     targets,
     n_restarts: int = 15,
     seed: int = 0,
-    *,
-    sq_diffs: np.ndarray | None = None,
-    gtol: float = 1e-6,
-    maxiter: int = 500,
 ) -> tuple[Hyperparameters, dict]:
     """Maximize the MLL from ``n_restarts`` random log-uniform starts."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.shape[0] < 4:
         raise ConfigError("MLL optimization needs at least 4 training points")
-    problem = MllProblem(inputs, targets, sq_diffs=sq_diffs)
+    problem = MllProblem(inputs, targets)
     rng = np.random.Generator(np.random.Philox(seed))
     trajectories = []
     best = None
     dim = inputs.shape[1]
     for _ in range(n_restarts):
-        theta, value, record = _descend(
-            problem.mll_and_grad, _sample_start(rng, dim), dim, gtol, maxiter
-        )
+        theta, value, record = _descend(problem.mll_and_grad, _sample_start(rng, dim), dim)
         trajectories.append(record)
         if value is None:
             continue
@@ -483,25 +461,15 @@ def optimize_mll(
     return best[0], diagnostics
 
 
-def optimize_map(
-    inputs,
-    targets,
-    priors: PriorSet,
-    start: Hyperparameters | None = None,
-    *,
-    sq_diffs: np.ndarray | None = None,
-    gtol: float = 1e-6,
-    maxiter: int = 500,
-) -> tuple[Hyperparameters, dict]:
+def optimize_map(inputs, targets, priors: PriorSet) -> tuple[Hyperparameters, dict]:
     """Maximize the log-posterior in a single descent from the prior modes."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.shape[0] < 4:
         raise ConfigError("MAP optimization needs at least 4 training points")
-    problem = MllProblem(inputs, targets, sq_diffs=sq_diffs)
-    start = start or priors.start_point()
+    problem = MllProblem(inputs, targets)
+    start = priors.start_point()
     theta, value, record = _descend(
-        lambda th: problem.log_posterior_and_grad(th, priors), start,
-        inputs.shape[1], gtol, maxiter,
+        lambda th: problem.log_posterior_and_grad(th, priors), start, inputs.shape[1]
     )
     diagnostics = {
         "method": "map",

@@ -189,12 +189,15 @@ class SnapshotSet:
             smx.require_finite(half, directory / "half.smx")
         samples = [
             ParameterSample(
-                unit=np.array(rec["unit"]),
-                physical=np.array(rec["physical"]),
+                unit=np.array(rec["unit"], dtype=float),
+                physical=np.array(rec["physical"], dtype=float),
                 index=rec["index"],
             )
             for rec in manifest["samples"]
         ]
+        if not all(np.isfinite(s.unit).all() and np.isfinite(s.physical).all()
+                   for s in samples):
+            raise DataError(f"{directory}/manifest.json: non-finite sample coordinates")
         if full.shape[1] != len(samples) or (half is not None and half.shape != full.shape):
             raise DataError(f"{directory}: snapshot matrices disagree with the manifest")
         return cls(grid=grid, values=full, samples=samples,

@@ -35,10 +35,6 @@ class NoiseEstimate:
     fit_exponent: float
     mode_capped: bool = False
 
-    def mode_at(self, l: int) -> float:
-        """Power-law value at mode l, capped below the prior mean."""
-        return min(self.fit_prefactor * l**self.fit_exponent, NOISE_MODE_CAP)
-
     def to_dict(self) -> dict:
         return {
             "per_mode": self.per_mode.tolist(),

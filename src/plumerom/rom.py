@@ -5,8 +5,7 @@ fitted on the training split. Hyperparameters come from multi-restart MLL,
 from single-descent MAP informed by priors calibrated on the held-out
 calibration split, or are frozen at the prior modes (baseline). Performance
 is scored with explained-variance Q2 criteria: per mode, per grid node, and
-globally (variance-weighted, using the training-set node variance frozen in
-the basis).
+globally (the local scores weighted by the evaluation set's node variance).
 """
 
 from __future__ import annotations
@@ -188,14 +187,13 @@ def _theta_checksum(theta_dict: dict) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _train_one_mode(method, inputs, targets, prior_set, seed, l, sq_diffs):
+def _train_one_mode(method, inputs, targets, prior_set, seed, l):
     if method == "mll":
         theta, diag = gpr.optimize_mll(
-            inputs, targets, n_restarts=15,
-            seed=np.random.SeedSequence((seed, l)), sq_diffs=sq_diffs,
+            inputs, targets, n_restarts=15, seed=np.random.SeedSequence((seed, l)),
         )
     elif method == "map":
-        theta, diag = gpr.optimize_map(inputs, targets, prior_set, sq_diffs=sq_diffs)
+        theta, diag = gpr.optimize_map(inputs, targets, prior_set)
     elif method == "prior":
         theta = prior_set.start_point()
         diag = {"method": "prior", "total_iterations": 0, "nfev": 0,
@@ -244,8 +242,7 @@ def train(
             "per_mode": [p.to_dict() for p in prior_sets],
         }
 
-    sq_diffs = gpr._sq_diffs(inputs)
-    gps = [_train_one_mode(method, inputs, targets[l], prior_sets[l], seed, l, sq_diffs)
+    gps = [_train_one_mode(method, inputs, targets[l], prior_sets[l], seed, l)
            for l in range(L)]
 
     split_manifest = {
@@ -299,7 +296,17 @@ def predict(model: RomModel, mu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _posterior_coefficients(model: RomModel, unit_points: np.ndarray):
-    """Stacked per-mode posterior means/variances, shape (L, M)."""
+    """Stacked per-mode posterior means/variances, shape (L, M).
+
+    Every query point enters the GPs here, so here it is checked: an (M, d)
+    array of finite unit-cube coordinates.
+    """
+    dim = model.gps[0].inputs.shape[1]
+    # NaN fails both comparisons
+    if not (unit_points.ndim == 2 and unit_points.shape[1] == dim
+            and np.all((unit_points >= 0.0) & (unit_points <= 1.0))):
+        raise ConfigError(f"unit points must be an (M, {dim}) array of finite values "
+                          f"in [0, 1]; got shape {unit_points.shape}")
     means = np.empty((model.L, unit_points.shape[0]))
     variances = np.empty_like(means)
     for l, gp in enumerate(model.gps):

@@ -73,6 +73,15 @@ def test_train_rerun_byte_identical(pipeline, tmp_path):
         assert (again / name).read_bytes() == (model / name).read_bytes(), name
 
 
+def test_train_config_round_trip(pipeline, tmp_path):
+    # train's run_config.json records the dataset beside the settings
+    _, data, model = pipeline
+    again = tmp_path / "again"
+    assert main(["train", "--config", str(model / "run_config.json"),
+                 "--dataset", str(data), "--out", str(again)]) == 0
+    assert (again / "gps.smx").read_bytes() == (model / "gps.smx").read_bytes()
+
+
 def test_train_split_independent_of_method(pipeline, tmp_path):
     _, data, model = pipeline
     prior_dir = tmp_path / "prior_model"
@@ -225,6 +234,23 @@ def test_missing_dataset_is_data_error(tmp_path):
 def test_bad_grid_is_config_error(tmp_path):
     assert main(["generate", "--out", str(tmp_path / "g"),
                  "--n", "10", "--grid", "banana"]) == 2
+
+
+@pytest.mark.parametrize("key", ["sede", "jobs"])
+def test_unknown_config_key_is_config_error(tmp_path, capsys, key):
+    # a misspelled seed, and the thread-pool setting that no longer exists
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"n": 10, "grid": "21x11", key: 5}))
+    out = tmp_path / "g"
+    assert main(["generate", "--config", str(config), "--out", str(out)]) == 2
+    assert f"unknown keys: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_must_be_an_object(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text("[1, 2]")
+    assert main(["generate", "--config", str(config), "--out", str(tmp_path / "g")]) == 2
 
 
 def run_python(args, **env_vars):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,19 @@ class TestSnapshotLayout:
             mu.index for mu in dataset80_small.samples[17:43]
         ]
         assert np.array_equal(loaded.unit_inputs(), part.unit_inputs())
+
+    @pytest.mark.parametrize("key, value", [("unit", float("nan")),
+                                            ("physical", float("inf")),
+                                            ("unit", None)])
+    def test_non_finite_sample_coordinates_rejected(self, tmp_path, dataset80_small,
+                                                    key, value):
+        dataset80_small.save(tmp_path / "ds")
+        path = tmp_path / "ds/manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["samples"][3][key][1] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="non-finite"):
+            SnapshotSet.load(tmp_path / "ds")
 
     def test_matrices_must_match_samples(self, tmp_path, dataset80_small):
         dataset80_small.save(tmp_path / "ds")

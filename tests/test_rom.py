@@ -152,6 +152,18 @@ class TestPredict:
         assert np.abs(coeff).max() <= 1e-6
         assert np.allclose(fld, model.basis.mean_field, atol=1e-6)
 
+    @pytest.mark.parametrize("points", [
+        [[0.5, np.nan, 0.5, 0.5]],
+        [[0.5, 0.5, np.inf, 0.5]],
+        [[0.5, 0.5, 0.5, 1.2]],
+        [[-0.1, 0.5, 0.5, 0.5]],
+        [[0.5, 0.5, 0.5]],
+        [0.5, 0.5, 0.5, 0.5],
+    ], ids=["nan", "inf", "above-1", "below-0", "width-3", "1-d"])
+    def test_predict_fields_rejects_bad_points(self, tiny_model, points):
+        with pytest.raises(ConfigError):
+            rom.predict_fields(tiny_model, np.array(points))
+
     def test_continuous_in_mu(self, tiny_model):
         base = np.array([5.5, 2e-2, -2.0, 1.5])
         f0, _, _ = rom.predict(tiny_model, base)
@@ -270,7 +282,12 @@ class TestPersistence:
         _, _, test_set = rom.split(tiny_dataset, (0.6, 0.15, 0.25))
         a = rom.predict_fields(tiny_model, test_set.unit_inputs())
         b = rom.predict_fields(loaded, test_set.unit_inputs())
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(a, b)
+        for mu in test_set.samples:
+            _, mean_a, var_a = rom.predict(tiny_model, mu)
+            _, mean_b, var_b = rom.predict(loaded, mu)
+            assert np.array_equal(mean_a, mean_b)
+            assert np.array_equal(var_a, var_b)
         assert loaded.method == tiny_model.method
         assert loaded.split_manifest == tiny_model.split_manifest
 
