@@ -36,8 +36,6 @@ _EXPORTS = {
     "robustness_sweep": "rom",
     "split": "rom",
     "train": "rom",
-    "Design": "sampling",
-    "ParameterSample": "sampling",
     "ParameterSpace": "sampling",
     "design": "sampling",
 }

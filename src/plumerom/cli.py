@@ -201,12 +201,13 @@ def cmd_predict(args) -> int:
     model = rom.RomModel.load(args.model)
     if (args.mu is None) == (args.unit is None):
         raise ConfigError("provide exactly one of --mu or --unit")
-    # Parse and convert only; rom.predict validates the point.
+    # A point is its unit-cube row; rom.predict validates it.
     if args.unit is not None:
-        sample = to_physical(_parse_point(args.unit), model.space)
+        unit = _parse_point(args.unit)
     else:
-        sample = to_physical(to_unit(_parse_point(args.mu), model.space), model.space)
-    fld, coeff_mean, coeff_var = rom.predict(model, sample)
+        unit = to_unit(_parse_point(args.mu), model.space)
+    fld, coeff_mean, coeff_var = rom.predict(model, unit)
+    physical = to_physical(unit, model.space)
     out = _prepare_out(args.out, args.force)
     smx.write_smx(out / "field.smx", fld[:, None], model.grid.nx, model.grid.nz)
     with open(out / "coefficients.csv", "w", newline="") as fh:
@@ -215,11 +216,11 @@ def cmd_predict(args) -> int:
             fh.write(f"{l + 1},{coeff_mean[l]!r},{coeff_var[l]!r}\n")
     _write_run_config(out, "predict", {
         "model": str(args.model),
-        "mu": [float(v) for v in sample.physical],
-        "unit": [float(v) for v in sample.unit],
+        "mu": physical.tolist(),
+        "unit": unit.tolist(),
     })
     print(f"predicted field written to {out} "
-          f"(mu = {np.array2string(sample.physical, precision=4)})")
+          f"(mu = {np.array2string(physical, precision=4)})")
     return 0
 
 
@@ -256,9 +257,9 @@ def cmd_robustness(args) -> int:
         dataset, sizes, method=resolved["method"], seed=int(resolved["seed"]),
     )
     with open(out / "sweep.csv", "w", newline="") as fh:
-        fh.write("size,L_opt,q2_global,runtime\n")
+        fh.write("size,L,q2_global,runtime\n")
         for row in results:
-            fh.write(f"{row['size']},{row['L_opt']},{row['q2_global']!r},"
+            fh.write(f"{row['size']},{row['L']},{row['q2_global']!r},"
                      f"{row['runtime']!r}\n")
     with open(out / "q2_by_L.csv", "w", newline="") as fh:
         fh.write("size,L,q2_global\n")
@@ -274,7 +275,7 @@ def cmd_robustness(args) -> int:
     resolved["dataset"] = str(args.dataset)
     _write_run_config(out, "robustness", resolved)
     for row in results:
-        print(f"size {row['size']:>4}: optimal L = {row['L_opt']:>3}, "
+        print(f"size {row['size']:>4}: L = {row['L']:>3}, "
               f"global Q2 = {row['q2_global']:.4f} ({row['runtime']:.1f}s)")
     return 0
 

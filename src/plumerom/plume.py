@@ -27,12 +27,13 @@ from scipy.ndimage import gaussian_filter
 from . import smx
 from .errors import ConfigError, DataError
 from .sampling import (
-    ParameterSample,
     ParameterSpace,
+    check_unit,
     design,
     friction_velocity,
     inlet_profile,
     reference_velocity,
+    to_physical,
 )
 
 GENERATOR_VERSION = "plume-surrogate-1"
@@ -99,36 +100,41 @@ class Grid:
 
 @dataclass
 class FieldSnapshot:
+    """One full-window field and the unit-cube point ``mu`` it was taken at."""
+
     values: np.ndarray
-    mu: ParameterSample
+    mu: np.ndarray
     channel: str = "mean_concentration"
-    window_fraction: float = 1.0
 
 
 @dataclass
 class SnapshotSet:
-    """A grid, N snapshots as the columns of one matrix, and their samples.
+    """A grid, N snapshots as the columns of one matrix, and a sample table.
 
     ``values`` is the (n_nodes, N) snapshot matrix, column-major like the
     ``.smx`` payload; ``half`` holds the half-window companions in the same
-    layout. Column i of both belongs to ``samples[i]``.
+    layout. Column i of both belongs to row i of the sample table: Halton
+    sequence index ``index[i]``, unit-cube point ``unit[i]`` (which identifies
+    the sample) and physical point ``physical[i]``.
     """
 
     grid: Grid
     values: np.ndarray
-    samples: list[ParameterSample]
+    index: np.ndarray
+    unit: np.ndarray
+    physical: np.ndarray
     channel: str = "mean_concentration"
     half: np.ndarray | None = None
     manifest: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.index)
 
     @property
     def snapshots(self) -> list[FieldSnapshot]:
         """Read-only per-column views of the full-window fields."""
         return [FieldSnapshot(self.values[:, i], mu, self.channel)
-                for i, mu in enumerate(self.samples)]
+                for i, mu in enumerate(self.unit)]
 
     def matrix(self) -> np.ndarray:
         """Snapshots as columns: shape (n_nodes, N)."""
@@ -140,7 +146,7 @@ class SnapshotSet:
         return self.half
 
     def unit_inputs(self) -> np.ndarray:
-        return np.array([mu.unit for mu in self.samples])
+        return self.unit
 
     def subset(self, indices: range) -> "SnapshotSet":
         """Columns ``indices`` as views of this set's matrices."""
@@ -148,7 +154,9 @@ class SnapshotSet:
         return SnapshotSet(
             grid=self.grid,
             values=self.values[:, cols],
-            samples=self.samples[cols],
+            index=self.index[cols],
+            unit=self.unit[cols],
+            physical=self.physical[cols],
             channel=self.channel,
             half=None if self.half is None else self.half[:, cols],
             manifest=dict(self.manifest),
@@ -165,7 +173,11 @@ class SnapshotSet:
         manifest["channel"] = self.channel
         manifest["n_snapshots"] = len(self)
         manifest["has_half_window"] = self.half is not None
-        manifest["samples"] = [mu.to_dict() for mu in self.samples]
+        manifest["samples"] = [
+            {"index": i, "unit": u, "physical": p}
+            for i, u, p in zip(self.index.tolist(), self.unit.tolist(),
+                               self.physical.tolist())
+        ]
         with open(directory / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=1)
 
@@ -174,7 +186,6 @@ class SnapshotSet:
         directory = Path(directory)
         with open(directory / "manifest.json") as fh:
             manifest = json.load(fh)
-        # rom.train reads "space"; the rest are read below
         missing = [k for k in ("grid", "samples", "channel", "space") if k not in manifest]
         if missing:
             raise DataError(f"{directory}/manifest.json lacks {', '.join(missing)}")
@@ -187,20 +198,20 @@ class SnapshotSet:
         if manifest.get("has_half_window"):
             half, _, _ = smx.read_smx(directory / "half.smx")
             smx.require_finite(half, directory / "half.smx")
-        samples = [
-            ParameterSample(
-                unit=np.array(rec["unit"], dtype=float),
-                physical=np.array(rec["physical"], dtype=float),
-                index=rec["index"],
-            )
-            for rec in manifest["samples"]
-        ]
-        if not all(np.isfinite(s.unit).all() and np.isfinite(s.physical).all()
-                   for s in samples):
-            raise DataError(f"{directory}/manifest.json: non-finite sample coordinates")
-        if full.shape[1] != len(samples) or (half is not None and half.shape != full.shape):
+        records = manifest["samples"]
+        try:
+            space = ParameterSpace.from_dict(manifest["space"])
+            index = np.array([rec["index"] for rec in records], dtype=np.int64)
+            unit = check_unit([rec["unit"] for rec in records], space)
+            physical = np.array([rec["physical"] for rec in records], dtype=float)
+            if physical.shape != unit.shape or not np.isfinite(physical).all():
+                raise ValueError(f"physical points must be a finite {unit.shape} table")
+        except (ConfigError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{directory}/manifest.json: mis-shaped, non-finite or "
+                            f"out-of-cube sample table: {exc}") from exc
+        if full.shape[1] != len(index) or (half is not None and half.shape != full.shape):
             raise DataError(f"{directory}: snapshot matrices disagree with the manifest")
-        return cls(grid=grid, values=full, samples=samples,
+        return cls(grid=grid, values=full, index=index, unit=unit, physical=physical,
                    channel=manifest["channel"], half=half, manifest=manifest)
 
 
@@ -208,9 +219,9 @@ def _sigmoid(v):
     return 1.0 / (1.0 + np.exp(-np.clip(v, -60.0, 60.0)))
 
 
-def _analytic_plume(mu: ParameterSample, grid: Grid, space: ParameterSpace):
+def _analytic_plume(physical: np.ndarray, grid: Grid, space: ParameterSpace):
     """Noiseless concentration field and its vertical derivative, unnormalized."""
-    u_zc, z0, x_src, z_src = mu.physical
+    u_zc, z0, x_src, z_src = physical
     u_tau = friction_velocity(u_zc, z0, space.z_c, space.kappa)
     z_ref = max(z_src, 0.25)
     u_adv = inlet_profile(z_ref, u_tau, z0, space.kappa)
@@ -264,10 +275,10 @@ def _analytic_plume(mu: ParameterSample, grid: Grid, space: ParameterSpace):
     return conc, flux
 
 
-def _noise_field(mu: ParameterSample, grid: Grid, channel: str, window_fraction: float,
+def _noise_field(unit: np.ndarray, grid: Grid, channel: str, window_fraction: float,
                  seed: int, t_avg_periods: float) -> np.ndarray:
     """Unit-amplitude smooth noise (correlation length ~3 cells), seeded by
-    (seed, mu, window_fraction, channel)."""
+    (seed, unit point, window_fraction, channel)."""
     entropy = [
         int(seed) & 0xFFFFFFFFFFFFFFFF,
         CHANNELS.index(channel),
@@ -275,7 +286,7 @@ def _noise_field(mu: ParameterSample, grid: Grid, channel: str, window_fraction:
         int(round(t_avg_periods * 1_000)),
     ]
     entropy.extend(int(v) for v in np.frombuffer(
-        np.asarray(mu.unit, dtype="<f8").tobytes(), dtype="<u8"))
+        np.asarray(unit, dtype="<f8").tobytes(), dtype="<u8"))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
     white = rng.standard_normal((grid.nz, grid.nx))
     smooth = gaussian_filter(white, sigma=3.0, mode="reflect")
@@ -283,7 +294,7 @@ def _noise_field(mu: ParameterSample, grid: Grid, channel: str, window_fraction:
 
 
 def generate_field(
-    mu: ParameterSample,
+    unit,
     grid: Grid,
     channel: str = "mean_concentration",
     window_fraction: float = 1.0,
@@ -293,10 +304,10 @@ def generate_field(
     u_tau_ref: float | None = None,
     noise_amplitude: float = DEFAULT_NOISE_AMPLITUDE,
     t_avg_periods: float = T_AVG_PERIODS,
-) -> FieldSnapshot:
-    """Evaluate one normalized surrogate snapshot at parameter point ``mu``.
+) -> np.ndarray:
+    """One normalized surrogate field, flattened, at the unit-cube point ``unit``.
 
-    Deterministic: identical (mu, seed, window_fraction) give bit-identical
+    Deterministic: identical (unit, seed, window_fraction) give bit-identical
     fields. ``noise_amplitude=0`` is the exact analytic field (test hook).
     Without ``u_tau_ref`` the concentration is normalized by the closed-form
     ``reference_velocity(space)``, the value ``generate_dataset`` records.
@@ -306,30 +317,25 @@ def generate_field(
     if channel not in CHANNELS:
         raise ConfigError(f"unknown channel {channel!r}; expected one of {CHANNELS}")
     space = space or ParameterSpace()
-    if space.in_exclusion_box(mu.x_src, mu.z_src):
+    physical = to_physical(unit, space)
+    if space.in_exclusion_box(*physical[2:]):
         raise DataError(
-            f"source ({mu.x_src}, {mu.z_src}) lies inside the obstacle exclusion box"
+            f"source ({physical[2]}, {physical[3]}) lies inside the obstacle exclusion box"
         )
     if u_tau_ref is None:
         u_tau_ref = reference_velocity(space)
 
-    conc, flux = _analytic_plume(mu, grid, space)
+    conc, flux = _analytic_plume(physical, grid, space)
     if channel == "mean_concentration":
         values = conc * (u_tau_ref * OBSTACLE_HEIGHT**2 / SOURCE_RATE)
     else:
         values = flux * (OBSTACLE_HEIGHT**2 / SOURCE_RATE)
 
     if noise_amplitude > 0.0:
-        noise = _noise_field(mu, grid, channel, window_fraction, seed, t_avg_periods)
+        noise = _noise_field(unit, grid, channel, window_fraction, seed, t_avg_periods)
         scale = noise_amplitude / math.sqrt(window_fraction * t_avg_periods)
         values = values + scale * np.abs(values) * noise
-
-    return FieldSnapshot(
-        values=values.ravel(),
-        mu=mu,
-        channel=channel,
-        window_fraction=window_fraction,
-    )
+    return values.ravel()
 
 
 def generate_dataset(
@@ -352,16 +358,16 @@ def generate_dataset(
     if n < 2:
         raise ConfigError("a dataset needs at least 2 snapshots")
     grid = grid or Grid()
-    plan = design(space, n, start_index)
+    index, unit, physical, n_skipped = design(space, n, start_index)
     u_tau_ref = reference_velocity(space)
 
     kwargs = dict(space=space, u_tau_ref=u_tau_ref, noise_amplitude=noise_amplitude,
                   t_avg_periods=t_avg_periods)
     full = np.empty((grid.n_nodes, n), order="F")
     half = np.empty_like(full)
-    for i, sample in enumerate(plan.samples):
-        full[:, i] = generate_field(sample, grid, channel, 1.0, seed, **kwargs).values
-        half[:, i] = generate_field(sample, grid, channel, 0.5, seed, **kwargs).values
+    for i, point in enumerate(unit):
+        full[:, i] = generate_field(point, grid, channel, 1.0, seed, **kwargs)
+        half[:, i] = generate_field(point, grid, channel, 0.5, seed, **kwargs)
 
     manifest = {
         "generator_version": GENERATOR_VERSION,
@@ -369,10 +375,10 @@ def generate_dataset(
         "seed": seed,
         "start_index": start_index,
         "n_requested": n,
-        "n_skipped": plan.n_skipped,
+        "n_skipped": n_skipped,
         "u_tau_ref": u_tau_ref,
         "noise_amplitude": noise_amplitude,
         "t_avg_periods": t_avg_periods,
     }
-    return SnapshotSet(grid=grid, values=full, samples=plan.samples, channel=channel,
-                       half=half, manifest=manifest)
+    return SnapshotSet(grid=grid, values=full, index=index, unit=unit, physical=physical,
+                       channel=channel, half=half, manifest=manifest)

@@ -64,18 +64,13 @@ def noise_variances(basis, full_matrix, half_matrix) -> np.ndarray:
     """Per-mode noise variance from paired full/half-window snapshots.
 
     s2_l = (1/2N) * sum_n (k_l(n) - k_l_50%(n))^2, both coefficient sets
-    projected onto the same basis. ``full_matrix``/``half_matrix`` may be
-    snapshot sets or (n_nodes, N) arrays and must pair 1:1 in order. Any
-    N >= 1 is accepted (N = 1 gives diff**2 / 2 per mode); an empty
-    calibration set raises ``DataError``.
+    projected onto the same basis. ``full_matrix``/``half_matrix`` are
+    (n_nodes, N) arrays that pair 1:1 in order. Any N >= 1 is accepted
+    (N = 1 gives diff**2 / 2 per mode); an empty calibration set raises
+    ``DataError``.
     """
     from . import pod
 
-    if hasattr(full_matrix, "matrix"):
-        half_matrix = full_matrix.half_matrix() if half_matrix is None else half_matrix
-        full_matrix = full_matrix.matrix()
-    if hasattr(half_matrix, "matrix"):
-        half_matrix = half_matrix.matrix()
     full_matrix = np.asarray(full_matrix, dtype=float)
     half_matrix = np.asarray(half_matrix, dtype=float)
     if full_matrix.shape != half_matrix.shape:
@@ -100,7 +95,7 @@ def fit_noise_power_law(per_mode) -> tuple[float, float]:
     return float(np.exp(coeffs[1])), float(coeffs[0])
 
 
-def estimate_noise(basis, full_matrix, half_matrix=None) -> NoiseEstimate:
+def estimate_noise(basis, full_matrix, half_matrix) -> NoiseEstimate:
     """Eq.-style noise estimator plus its power-law fit, from N >= 1 pairs.
 
     The fit is NaN when fewer than 3 modes have positive estimates (e.g. the
@@ -126,8 +121,8 @@ def estimate_noise(basis, full_matrix, half_matrix=None) -> NoiseEstimate:
     )
 
 
-def build_priors(l: int, noise_fit: tuple[float, float] | NoiseEstimate) -> PriorSet:
-    """Priors for mode ``l`` (1-based) given the fitted noise power law.
+def build_priors(l: int, noise_fit: tuple[float, float]) -> PriorSet:
+    """Priors for mode ``l`` (1-based) given the noise power law (a, b).
 
     - noise: Gamma with mode min(a*l^b, 0.45) and mean 0.5;
     - signal: Gaussian(1, 0.03);
@@ -136,10 +131,7 @@ def build_priors(l: int, noise_fit: tuple[float, float] | NoiseEstimate) -> Prio
     """
     if l < 1:
         raise ConfigError("mode index must be >= 1")
-    if isinstance(noise_fit, NoiseEstimate):
-        a, b = noise_fit.fit_prefactor, noise_fit.fit_exponent
-    else:
-        a, b = noise_fit
+    a, b = noise_fit
     if not a > 0.0:  # also rejects NaN from a degenerate estimate
         raise ConfigError("noise power-law prefactor must be positive")
     noise_mode = min(a * float(l) ** b, NOISE_MODE_CAP)

@@ -21,7 +21,7 @@ import numpy as np
 from . import gpr, pod, priors, smx
 from .errors import ConfigError, DataError
 from .plume import Grid, SnapshotSet
-from .sampling import ParameterSample, ParameterSpace, to_physical, to_unit
+from .sampling import ParameterSpace, check_unit, to_physical
 
 DEFAULT_FRACTIONS = (0.63, 0.07, 0.30)
 METHODS = ("mll", "map", "prior")
@@ -29,7 +29,7 @@ MODEL_FORMAT = "plumerom-model-2"
 
 
 def _subset_hash(snapshot_set: SnapshotSet) -> str:
-    ids = ",".join(str(mu.index) for mu in snapshot_set.samples)
+    ids = ",".join(map(str, snapshot_set.index.tolist()))
     return hashlib.sha256(ids.encode()).hexdigest()[:16]
 
 
@@ -235,8 +235,9 @@ def train(
     priors_audit = None
     prior_sets: list[gpr.PriorSet | None] = [None] * L
     if method in ("map", "prior"):
-        estimate = priors.estimate_noise(basis, calib_set)
-        prior_sets = [priors.build_priors(l, estimate) for l in range(1, L + 1)]
+        estimate = priors.estimate_noise(basis, calib_set.matrix(), calib_set.half_matrix())
+        fit = (estimate.fit_prefactor, estimate.fit_exponent)
+        prior_sets = [priors.build_priors(l, fit) for l in range(1, L + 1)]
         priors_audit = {
             "noise_estimate": estimate.to_dict(),
             "per_mode": [p.to_dict() for p in prior_sets],
@@ -273,24 +274,16 @@ def train(
     )
 
 
-def predict(model: RomModel, mu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Field prediction at one parameter point.
+def predict(model: RomModel, unit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Field prediction at one unit-cube point.
 
-    Accepts a ParameterSample or a physical 4-vector. Points outside the
-    parameter space or inside the exclusion box are refused: the model is
-    only validated over the sampled region.
+    Points outside the unit cube or with their source inside the exclusion
+    box are refused: the model is only validated over the sampled region.
     """
-    if not isinstance(mu, ParameterSample):
-        sample = to_physical(to_unit(mu, model.space), model.space)  # to_unit checks bounds
-    elif model.space.contains(mu.physical):
-        sample = mu
-    else:
-        raise ConfigError(f"point {mu.physical.tolist()} outside the parameter space")
-    if model.space.in_exclusion_box(sample.x_src, sample.z_src):
-        raise ConfigError(
-            f"source ({sample.x_src}, {sample.z_src}) inside the exclusion box"
-        )
-    coeff_mean, coeff_var = _posterior_coefficients(model, sample.unit[None, :])
+    physical = to_physical(unit, model.space)
+    if model.space.in_exclusion_box(*physical[2:]):
+        raise ConfigError(f"source ({physical[2]}, {physical[3]}) inside the exclusion box")
+    coeff_mean, coeff_var = _posterior_coefficients(model, np.reshape(unit, (1, -1)))
     fld = pod.reconstruct(model.basis, coeff_mean[:, 0])
     return fld, coeff_mean[:, 0], coeff_var[:, 0]
 
@@ -298,15 +291,9 @@ def predict(model: RomModel, mu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _posterior_coefficients(model: RomModel, unit_points: np.ndarray):
     """Stacked per-mode posterior means/variances, shape (L, M).
 
-    Every query point enters the GPs here, so here it is checked: an (M, d)
-    array of finite unit-cube coordinates.
+    Every query point enters the GPs here, so here it is checked.
     """
-    dim = model.gps[0].inputs.shape[1]
-    # NaN fails both comparisons
-    if not (unit_points.ndim == 2 and unit_points.shape[1] == dim
-            and np.all((unit_points >= 0.0) & (unit_points <= 1.0))):
-        raise ConfigError(f"unit points must be an (M, {dim}) array of finite values "
-                          f"in [0, 1]; got shape {unit_points.shape}")
+    unit_points = check_unit(unit_points, model.space)
     means = np.empty((model.L, unit_points.shape[0]))
     variances = np.empty_like(means)
     for l, gp in enumerate(model.gps):
@@ -316,31 +303,31 @@ def _posterior_coefficients(model: RomModel, unit_points: np.ndarray):
 
 def predict_fields(model: RomModel, unit_points: np.ndarray) -> np.ndarray:
     """Predicted fields for a batch of unit-cube points, shape (n_nodes, M)."""
-    coeff_mean, _ = _posterior_coefficients(model, np.asarray(unit_points, dtype=float))
+    coeff_mean, _ = _posterior_coefficients(model, unit_points)
     return pod.reconstruct(model.basis, coeff_mean)
 
 
-def q2_scores(true_values: np.ndarray, predicted: np.ndarray, axis: int = 1,
-              mask_rtol: float = 1e-14) -> np.ndarray:
+def q2_scores(true_values: np.ndarray, predicted: np.ndarray, axis: int = 1) -> np.ndarray:
     """Explained-variance scores 1 - |err|^2 / |centered|^2 along ``axis``.
 
-    Entries whose centered-variance denominator falls below ``mask_rtol``
-    times the largest denominator come back NaN (undefined, not zero).
+    Entries whose centered-variance denominator falls below
+    ``pod.VARIANCE_MASK_RTOL`` times the largest denominator come back NaN
+    (undefined, not zero).
     """
     true_values = np.asarray(true_values, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
     residual = np.sum((true_values - predicted) ** 2, axis=axis)
-    denom, defined = _q2_denominators(true_values, axis, mask_rtol)
+    denom, defined = _q2_denominators(true_values, axis)
     out = np.full(np.shape(denom), np.nan)
     out[defined] = 1.0 - residual[defined] / denom[defined]
     return out
 
 
-def _q2_denominators(true_values: np.ndarray, axis: int = 1, mask_rtol: float = 1e-14):
+def _q2_denominators(true_values: np.ndarray, axis: int = 1):
     """Centered sums of squares along ``axis`` and the mask of defined entries."""
     centered = true_values - true_values.mean(axis=axis, keepdims=True)
     denom = np.sum(centered**2, axis=axis)
-    defined = denom > mask_rtol * (denom.max() if denom.size else 0.0)
+    defined = denom > pod.VARIANCE_MASK_RTOL * (denom.max() if denom.size else 0.0)
     return denom, defined
 
 
@@ -369,7 +356,7 @@ class EvaluationReport:
     dataset_tag: str
     split_hash: str
     n_samples: int
-    node_weights: np.ndarray | None = None
+    node_weights: np.ndarray
 
     def summary_dict(self) -> dict:
         return {
@@ -388,8 +375,7 @@ class EvaluationReport:
             for l, value in enumerate(self.q2_per_mode, start=1):
                 fh.write(f"{l},{'' if np.isnan(value) else repr(float(value))}\n")
         smx.write_smx(directory / "q2_local.smx", self.q2_local[:, None], nx, nz)
-        if self.node_weights is not None:
-            smx.write_smx(directory / "weights.smx", self.node_weights[:, None], nx, nz)
+        smx.write_smx(directory / "weights.smx", self.node_weights[:, None], nx, nz)
         with open(directory / "summary.json", "w") as fh:
             json.dump(self.summary_dict(), fh, indent=1)
 
@@ -426,7 +412,6 @@ def evaluate(model: RomModel, eval_set: SnapshotSet, tag: str = "test") -> Evalu
 def robustness_sweep(
     dataset: SnapshotSet,
     train_sizes,
-    L_grid=None,
     method: str = "map",
     seed: int = 0,
 ) -> list[dict]:
@@ -435,8 +420,9 @@ def robustness_sweep(
     For each size the first ``size`` training snapshots are kept; 90% of them
     build the POD basis, the remaining 10% calibrate priors, and the GPs are
     fitted on all of them. Sizes 10-15 leave a single calibration pair, whose
-    noise estimate is defined but noisy. Every admissible truncation L is
-    scored on the test set; each row reports the Q2-optimal L.
+    noise estimate is defined but noisy. The model keeps the largest
+    admissible L, n_pod - 1, and each row reports its test Q2; ``q2_by_L``
+    scores every truncation below it. L is never chosen on the test set.
     """
     full_train, _, test = split(dataset)
     results = []
@@ -455,21 +441,16 @@ def robustness_sweep(
         calib_set.manifest["subset"] = {"tag": f"sweep-{size}-calib",
                                         "hash": _subset_hash(calib_set)}
         l_max = n_pod - 1
-        grid_l = [l for l in (L_grid or range(1, l_max + 1)) if 1 <= l <= l_max]
-        if not grid_l:
-            raise ConfigError(f"no admissible L for size {size} (max {l_max})")
-        model = train(pod_set, calib_set, max(grid_l), method, seed, gp_on_union=True)
+        model = train(pod_set, calib_set, l_max, method, seed, gp_on_union=True)
         coeff_mean, _ = _posterior_coefficients(model, test.unit_inputs())
         per_mode = q2_scores(pod.project(model.basis, test.matrix()), coeff_mean)
         q2_all = _q2_by_truncation(model.basis, coeff_mean, test.matrix())
-        q2_by_l = {l: q2_all[l - 1] for l in grid_l}
-        l_opt = max(q2_by_l, key=q2_by_l.get)
         results.append(
             {
                 "size": size,
-                "L_opt": l_opt,
-                "q2_global": q2_by_l[l_opt],
-                "q2_by_L": q2_by_l,
+                "L": l_max,
+                "q2_global": q2_all[-1],
+                "q2_by_L": dict(enumerate(q2_all, start=1)),
                 "q2_per_mode": per_mode,
                 "runtime": time.perf_counter() - t0,
             }

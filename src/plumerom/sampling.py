@@ -6,6 +6,9 @@ tracer source position and height ``(x_src, z_src)``. Designs are built from
 the unscrambled Halton sequence; points landing inside the obstacle exclusion
 box are skipped (never resampled) so a design is reproducible and extendable
 from its recorded sequence indices.
+
+A parameter point is identified by its unit-cube row: the physical
+coordinates are derived from it, and the round trip back is not bit-exact.
 """
 
 from __future__ import annotations
@@ -21,6 +24,10 @@ _HALTON_BASES = (2, 3, 5, 7)
 # The integrand of reference_velocity is smooth in log z0; 16 nodes already
 # agree with 32 and 64 to round-off.
 _U_TAU_QUADRATURE_NODES = 16
+# Coordinate order of a parameter point, and which coordinates are sampled
+# log-uniformly (the others uniformly).
+_BOUND_FIELDS = ("u_zc_bounds", "z0_bounds", "x_src_bounds", "z_src_bounds")
+_LOG_UNIFORM = (False, True, False, False)
 
 
 @dataclass(frozen=True)
@@ -44,8 +51,7 @@ class ParameterSpace:
     kappa: float = 0.41
 
     def __post_init__(self):
-        for name in ("u_zc_bounds", "z0_bounds", "x_src_bounds", "z_src_bounds"):
-            lo, hi = getattr(self, name)
+        for name, (lo, hi) in zip(_BOUND_FIELDS, self.bounds):
             if not lo < hi:
                 raise ConfigError(f"{name} must satisfy lower < upper, got ({lo}, {hi})")
         if self.z0_bounds[0] <= 0.0:
@@ -53,25 +59,21 @@ class ParameterSpace:
         if self.z_c <= 0.0 or self.kappa <= 0.0:
             raise ConfigError("z_c and kappa must be positive")
 
+    @property
+    def bounds(self) -> tuple[tuple[float, float], ...]:
+        """The intervals of (u_zc, z0, x_src, z_src), in coordinate order."""
+        return tuple(getattr(self, name) for name in _BOUND_FIELDS)
+
     def in_exclusion_box(self, x_src: float, z_src: float) -> bool:
         (x_lo, x_hi), (z_lo, z_hi) = self.exclusion_box
         return x_lo <= x_src <= x_hi and z_lo <= z_src <= z_hi
 
     def contains(self, physical) -> bool:
-        u_zc, z0, x_src, z_src = physical
-        return (
-            self.u_zc_bounds[0] <= u_zc <= self.u_zc_bounds[1]
-            and self.z0_bounds[0] <= z0 <= self.z0_bounds[1]
-            and self.x_src_bounds[0] <= x_src <= self.x_src_bounds[1]
-            and self.z_src_bounds[0] <= z_src <= self.z_src_bounds[1]
-        )
+        return all(lo <= v <= hi for v, (lo, hi) in zip(physical, self.bounds, strict=True))
 
     def to_dict(self) -> dict:
         return {
-            "u_zc_bounds": list(self.u_zc_bounds),
-            "z0_bounds": list(self.z0_bounds),
-            "x_src_bounds": list(self.x_src_bounds),
-            "z_src_bounds": list(self.z_src_bounds),
+            **{name: list(getattr(self, name)) for name in _BOUND_FIELDS},
             "exclusion_box": [list(self.exclusion_box[0]), list(self.exclusion_box[1])],
             "z_c": self.z_c,
             "kappa": self.kappa,
@@ -80,51 +82,11 @@ class ParameterSpace:
     @classmethod
     def from_dict(cls, d: dict) -> "ParameterSpace":
         return cls(
-            u_zc_bounds=tuple(d["u_zc_bounds"]),
-            z0_bounds=tuple(d["z0_bounds"]),
-            x_src_bounds=tuple(d["x_src_bounds"]),
-            z_src_bounds=tuple(d["z_src_bounds"]),
+            **{name: tuple(d[name]) for name in _BOUND_FIELDS},
             exclusion_box=(tuple(d["exclusion_box"][0]), tuple(d["exclusion_box"][1])),
             z_c=d["z_c"],
             kappa=d["kappa"],
         )
-
-
-@dataclass(frozen=True)
-class ParameterSample:
-    """One design point in unit-cube and physical coordinates.
-
-    ``index`` is the Halton sequence index that produced the point;
-    ``rejected`` marks points inside the exclusion box (a design skips them).
-    """
-
-    unit: np.ndarray
-    physical: np.ndarray
-    index: int
-    rejected: bool = False
-
-    @property
-    def u_zc(self) -> float:
-        return float(self.physical[0])
-
-    @property
-    def z0(self) -> float:
-        return float(self.physical[1])
-
-    @property
-    def x_src(self) -> float:
-        return float(self.physical[2])
-
-    @property
-    def z_src(self) -> float:
-        return float(self.physical[3])
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "unit": [float(v) for v in self.unit],
-            "physical": [float(v) for v in self.physical],
-        }
 
 
 def radical_inverse(index: int, base: int) -> float:
@@ -152,55 +114,60 @@ def halton_point(index: int, dim: int) -> np.ndarray:
     return np.array([radical_inverse(index, b) for b in _HALTON_BASES[:dim]])
 
 
-def to_physical(unit, space: ParameterSpace, index: int = 0) -> ParameterSample:
-    """Map a unit-cube point to physical parameters.
+def check_unit(points, space: ParameterSpace) -> np.ndarray:
+    """``points`` as an (M, d) float array, d the dimension of ``space``.
+
+    The one check of unit-cube points: every value must be finite and in
+    [0, 1], else ``ConfigError``.
+    """
+    dim = len(space.bounds)
+    try:
+        points = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows, non-numbers
+        raise ConfigError(f"unit points must be an (M, {dim}) array: {exc}") from exc
+    # NaN fails both comparisons
+    if not (points.ndim == 2 and points.shape[1] == dim
+            and np.all((points >= 0.0) & (points <= 1.0))):
+        raise ConfigError(f"unit points must be an (M, {dim}) array of finite values "
+                          f"in [0, 1]; got shape {points.shape}")
+    return points
+
+
+def to_physical(unit, space: ParameterSpace) -> np.ndarray:
+    """Map one unit-cube point to physical parameters.
 
     u_zc, x_src, z_src are affine maps onto their intervals; z0 is mapped
-    exponentially so that its distribution is log-uniform. Points whose
-    (x_src, z_src) falls inside the exclusion box come back flagged
-    ``rejected``; the caller skips to the next sequence index.
+    exponentially so that its distribution is log-uniform. Each coordinate
+    goes through scalar ``math`` functions, whose results the generated
+    fields depend on bit for bit, and is clipped to its interval, because
+    exp(log(b)) can overshoot by 1 ulp.
     """
-    unit = np.asarray(unit, dtype=float)
-    if unit.shape != (4,) or np.any(unit < 0.0) or np.any(unit > 1.0):
-        raise ConfigError("unit point must lie in [0,1]^4")
-    def affine(u, lo, hi):
-        return min(max(lo + u * (hi - lo), lo), hi)
-
-    a, b = space.z0_bounds
-    physical = np.array(
-        [
-            affine(unit[0], *space.u_zc_bounds),
-            # exponential map; clipped because exp(log(b)) can overshoot by 1 ulp
-            min(max(math.exp(math.log(a) + unit[1] * (math.log(b) - math.log(a))), a), b),
-            affine(unit[2], *space.x_src_bounds),
-            affine(unit[3], *space.z_src_bounds),
-        ]
-    )
-    x_src, z_src = physical[2], physical[3]
-    return ParameterSample(
-        unit=unit,
-        physical=physical,
-        index=index,
-        rejected=space.in_exclusion_box(x_src, z_src),
-    )
+    (unit,) = check_unit(np.reshape(unit, (1, -1)), space)
+    physical = np.empty_like(unit)
+    for k, (u, (lo, hi), log) in enumerate(zip(unit, space.bounds, _LOG_UNIFORM)):
+        if log:
+            value = math.exp(math.log(lo) + u * (math.log(hi) - math.log(lo)))
+        else:
+            value = lo + u * (hi - lo)
+        physical[k] = min(max(value, lo), hi)
+    return physical
 
 
 def to_unit(physical, space: ParameterSpace) -> np.ndarray:
     """Inverse of :func:`to_physical` (exact up to round-off)."""
     physical = np.asarray(physical, dtype=float)
-    if physical.shape != (4,):
-        raise ConfigError("physical point must have 4 components")
+    dim = len(space.bounds)
+    if physical.shape != (dim,):
+        raise ConfigError(f"physical point must have {dim} components")
     if not space.contains(physical):
         raise ConfigError(f"physical point {physical.tolist()} outside parameter bounds")
-    a, b = space.z0_bounds
-    return np.array(
-        [
-            (physical[0] - space.u_zc_bounds[0]) / (space.u_zc_bounds[1] - space.u_zc_bounds[0]),
-            (math.log(physical[1]) - math.log(a)) / (math.log(b) - math.log(a)),
-            (physical[2] - space.x_src_bounds[0]) / (space.x_src_bounds[1] - space.x_src_bounds[0]),
-            (physical[3] - space.z_src_bounds[0]) / (space.z_src_bounds[1] - space.z_src_bounds[0]),
-        ]
-    )
+    unit = np.empty_like(physical)
+    for k, (v, (lo, hi), log) in enumerate(zip(physical, space.bounds, _LOG_UNIFORM)):
+        if log:
+            unit[k] = (math.log(v) - math.log(lo)) / (math.log(hi) - math.log(lo))
+        else:
+            unit[k] = (v - lo) / (hi - lo)
+    return unit
 
 
 def friction_velocity(u_zc: float, z0: float, z_c: float, kappa: float) -> float:
@@ -243,35 +210,28 @@ def reference_velocity(space: ParameterSpace) -> float:
     return space.kappa * mean_u_zc * mean_inv_log
 
 
-@dataclass
-class Design:
-    """An accepted-sample Halton design over a parameter space."""
-
-    space: ParameterSpace
-    samples: list[ParameterSample]
-    start_index: int
-    n_skipped: int = 0
-
-
-def design(space: ParameterSpace, n: int, start_index: int = 1) -> Design:
+def design(space: ParameterSpace, n: int,
+           start_index: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Produce ``n`` accepted samples by consuming the Halton sequence.
 
-    Rejected indices (exclusion box) are skipped so the accepted design is
-    deterministic and can be extended by starting after the last consumed
-    index.
+    Returns the sample table, its sequence indices (n,), unit-cube points
+    (n, d) and physical points (n, d), and the number of skipped indices.
+    Indices whose source falls in the exclusion box are skipped, never
+    resampled, so the design is deterministic and can be extended by
+    starting after the last consumed index.
     """
     if n < 1:
         raise ConfigError("design size must be >= 1")
     if start_index < 1:
         raise ConfigError("start_index must be >= 1")
-    samples: list[ParameterSample] = []
-    n_skipped = 0
-    index = start_index
-    while len(samples) < n:
-        sample = to_physical(halton_point(index, 4), space, index=index)
-        if sample.rejected:
-            n_skipped += 1
-        else:
-            samples.append(sample)
-        index += 1
-    return Design(space=space, samples=samples, start_index=start_index, n_skipped=n_skipped)
+    index, unit, physical = [], [], []
+    i = start_index
+    while len(index) < n:
+        point = halton_point(i, len(space.bounds))
+        mapped = to_physical(point, space)
+        if not space.in_exclusion_box(*mapped[2:]):
+            index.append(i)
+            unit.append(point)
+            physical.append(mapped)
+        i += 1
+    return np.array(index), np.array(unit), np.array(physical), i - start_index - n

@@ -53,10 +53,10 @@ def toy_matrix(n_nodes=30, n=8, seed=0, rank=None):
 
 
 def regenerate(dataset, i, window_fraction):
-    """Column ``i`` of ``dataset`` regenerated from its sample and manifest."""
+    """Column ``i`` of ``dataset`` regenerated from its unit point and manifest."""
     m = dataset.manifest
     return plume.generate_field(
-        dataset.samples[i], dataset.grid, dataset.channel, window_fraction, m["seed"],
+        dataset.unit[i], dataset.grid, dataset.channel, window_fraction, m["seed"],
         space=ParameterSpace.from_dict(m["space"]), u_tau_ref=m["u_tau_ref"],
         noise_amplitude=m["noise_amplitude"], t_avg_periods=m["t_avg_periods"],
-    ).values
+    )

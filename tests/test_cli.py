@@ -187,11 +187,14 @@ def test_robustness_outputs(pipeline, tmp_path):
     assert main(["robustness", "--dataset", str(data), "--out", str(out),
                  "--sizes", "12,20", "--method", "prior"]) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "size,L_opt,q2_global,runtime"
+    assert lines[0] == "size,L,q2_global,runtime"
     assert len(lines) == 3
-    for size in (12, 20):
-        l_opt = int(lines[1 if size == 12 else 2].split(",")[1])
-        assert l_opt <= int(round(0.9 * size)) - 1
+    by_L = (out / "q2_by_L.csv").read_text().splitlines()[1:]
+    for size, line in zip((12, 20), lines[1:]):
+        _, L, q2, _ = line.split(",")
+        # the largest admissible L, and its Q2 from the full curve
+        assert int(L) == int(round(0.9 * size)) - 1
+        assert f"{size},{L},{q2}" in by_L
         assert (out / f"q2_per_mode_{size}.csv").exists()
     assert (out / "q2_by_L.csv").exists()
 
@@ -209,6 +212,28 @@ def test_train_non_finite_dataset_is_data_error(pipeline, tmp_path, bad):
     write_smx(copy / "full.smx", full, nx, nz)
     assert main(["train", "--dataset", str(copy), "--out", str(tmp_path / "m"),
                  "--L", "3", "--method", "prior"]) == 3
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("corrupt", ["three-coordinate-unit", "unit-above-one"])
+def test_corrupt_sample_table_is_data_error(pipeline, tmp_path, capsys, command, corrupt):
+    _, data, model = pipeline
+    copy = tmp_path / "data"
+    copy.mkdir()
+    for name in ("full.smx", "half.smx"):
+        (copy / name).write_bytes((data / name).read_bytes())
+    manifest = json.loads((data / "manifest.json").read_text())
+    record = manifest["samples"][-1]  # a test-split record
+    if corrupt == "three-coordinate-unit":
+        record["unit"] = record["unit"][:3]
+    else:
+        record["unit"][2] = 1.5
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    args = {"train": ["--L", "3", "--method", "prior"],
+            "evaluate": ["--model", str(model)]}[command]
+    assert main([command, "--dataset", str(copy), "--out", str(tmp_path / "o"),
+                 *args]) == 3
+    assert "sample table" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["grid", "samples", "channel", "space"])

@@ -6,12 +6,13 @@ import pytest
 from plumerom import ConfigError, DataError, ParameterSpace
 from plumerom import pod, rom, smx
 from plumerom.plume import Grid, SnapshotSet, generate_dataset, generate_field
-from plumerom.sampling import design, reference_velocity, to_physical, to_unit
+from plumerom.sampling import design, reference_velocity, to_unit
 from conftest import regenerate
 
 
 def sample_at(space, u_zc, z0, x_src, z_src):
-    return to_physical(to_unit([u_zc, z0, x_src, z_src], space), space)
+    """The unit-cube point of a physical parameter point."""
+    return to_unit([u_zc, z0, x_src, z_src], space)
 
 
 class TestGrid:
@@ -37,14 +38,13 @@ class TestGenerateField:
         mu = sample_at(space, 5.0, 1e-2, -1.5, 0.8)
         a = generate_field(mu, small_grid, seed=3, space=space, u_tau_ref=0.37)
         b = generate_field(mu, small_grid, seed=3, space=space, u_tau_ref=0.37)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_noiseless_peak_at_source(self, space):
         grid = Grid()  # default: source coordinates below sit on grid nodes
         mu = sample_at(space, 5.0, 1e-2, -1.0, 0.8)
-        snap = generate_field(mu, grid, seed=0, space=space, u_tau_ref=0.37,
-                              noise_amplitude=0.0)
-        field = snap.values.reshape(grid.nz, grid.nx)
+        field = generate_field(mu, grid, seed=0, space=space, u_tau_ref=0.37,
+                               noise_amplitude=0.0).reshape(grid.nz, grid.nx)
         iz = np.argmin(np.abs(grid.z() - 0.8))
         ix = np.argmin(np.abs(grid.x() - (-1.0)))
         assert field[iz, ix] == field.max()
@@ -52,18 +52,12 @@ class TestGenerateField:
     def test_noiseless_non_negative(self, space, small_grid):
         for mu_phys in ([4.0, 5e-3, 2.5, 0.5], [8.0, 5e-2, -3.0, 1.8]):
             mu = sample_at(space, *mu_phys)
-            snap = generate_field(mu, small_grid, seed=0, space=space,
-                                  u_tau_ref=0.37, noise_amplitude=0.0)
-            assert snap.values.min() >= 0.0
+            values = generate_field(mu, small_grid, seed=0, space=space,
+                                    u_tau_ref=0.37, noise_amplitude=0.0)
+            assert values.min() >= 0.0
 
     def test_exclusion_box_rejected(self, space, small_grid):
-        from plumerom.sampling import ParameterSample
-
-        mu = ParameterSample(
-            unit=np.full(4, 0.5),
-            physical=np.array([6.0, 1e-2, 0.5, 0.5]),
-            index=1,
-        )
+        mu = sample_at(space, 6.0, 1e-2, 0.5, 0.5)
         with pytest.raises(DataError):
             generate_field(mu, small_grid, space=space, u_tau_ref=0.37)
 
@@ -82,7 +76,7 @@ class TestGenerateField:
                                   seed, space=space, u_tau_ref=0.37)
             half = generate_field(mu, small_grid, "mean_concentration", 0.5,
                                   seed, space=space, u_tau_ref=0.37)
-            means.append((full.values - half.values).mean())
+            means.append((full - half).mean())
         means = np.array(means)
         se = means.std(ddof=1) / np.sqrt(len(means))
         assert abs(means.mean()) <= 3.0 * se
@@ -93,9 +87,8 @@ class TestGenerateField:
 
         def integral(x_src):
             mu = sample_at(space, 5.0, 1e-2, x_src, 0.8)
-            snap = generate_field(mu, grid, seed=0, space=space, u_tau_ref=0.37,
-                                  noise_amplitude=0.0)
-            field = snap.values.reshape(grid.nz, grid.nx)
+            field = generate_field(mu, grid, seed=0, space=space, u_tau_ref=0.37,
+                                   noise_amplitude=0.0).reshape(grid.nz, grid.nx)
             return np.trapezoid(np.trapezoid(field, grid.x(), axis=1), grid.z())
 
         a, b = integral(-1.5), integral(-1.5 + dx)
@@ -104,10 +97,10 @@ class TestGenerateField:
 
     def test_flux_channel_has_signed_lobes(self, space, small_grid):
         mu = sample_at(space, 5.0, 1e-2, -1.0, 0.8)
-        snap = generate_field(mu, small_grid, "vertical_flux", seed=0,
-                              space=space, u_tau_ref=0.37, noise_amplitude=0.0)
-        assert snap.values.max() > 0.0
-        assert snap.values.min() < 0.0
+        values = generate_field(mu, small_grid, "vertical_flux", seed=0,
+                                space=space, u_tau_ref=0.37, noise_amplitude=0.0)
+        assert values.max() > 0.0
+        assert values.min() < 0.0
 
 
 class TestGenerateDataset:
@@ -142,14 +135,16 @@ class TestGenerateDataset:
     def test_default_normalization_matches_dataset(self, dataset80_small):
         m = dataset80_small.manifest
         for i in (0, 79):
-            field = generate_field(dataset80_small.samples[i], dataset80_small.grid,
+            field = generate_field(dataset80_small.unit[i], dataset80_small.grid,
                                    seed=m["seed"], space=ParameterSpace.from_dict(m["space"]))
-            assert np.array_equal(field.values, dataset80_small.matrix()[:, i])
+            assert np.array_equal(field, dataset80_small.matrix()[:, i])
 
     def test_follows_design_order(self, space, small_grid, dataset80_small):
-        plan = design(space, 80, 1)
-        for snap, planned in zip(dataset80_small.snapshots, plan.samples):
-            assert snap.mu.index == planned.index
+        index, unit, physical, n_skipped = design(space, 80, 1)
+        assert np.array_equal(dataset80_small.index, index)
+        assert np.array_equal(dataset80_small.unit, unit)
+        assert np.array_equal(dataset80_small.physical, physical)
+        assert dataset80_small.manifest["n_skipped"] == n_skipped
 
     def test_ensemble_variance_positive_near_sources(self, dataset200):
         grid = dataset200.grid
@@ -208,9 +203,9 @@ class TestSnapshotLayout:
         assert np.array_equal(loaded.matrix(), dataset80_small.matrix()[:, 17:43])
         assert np.array_equal(loaded.half_matrix(),
                               dataset80_small.half_matrix()[:, 17:43])
-        assert [mu.index for mu in loaded.samples] == [
-            mu.index for mu in dataset80_small.samples[17:43]
-        ]
+        assert np.array_equal(loaded.index, dataset80_small.index[17:43])
+        assert np.array_equal(loaded.unit, dataset80_small.unit[17:43])
+        assert np.array_equal(loaded.physical, dataset80_small.physical[17:43])
         assert np.array_equal(loaded.unit_inputs(), part.unit_inputs())
 
     @pytest.mark.parametrize("key, value", [("unit", float("nan")),
@@ -224,6 +219,20 @@ class TestSnapshotLayout:
         manifest["samples"][3][key][1] = value
         path.write_text(json.dumps(manifest))
         with pytest.raises(DataError, match="non-finite"):
+            SnapshotSet.load(tmp_path / "ds")
+
+    @pytest.mark.parametrize("key, value", [("unit", 1.5), ("unit", -0.5),
+                                            ("unit", "drop"), ("physical", "drop")])
+    def test_corrupt_sample_table_rejected(self, tmp_path, dataset80_small, key, value):
+        dataset80_small.save(tmp_path / "ds")
+        path = tmp_path / "ds/manifest.json"
+        manifest = json.loads(path.read_text())
+        if value == "drop":
+            del manifest["samples"][3][key][1]
+        else:
+            manifest["samples"][3][key][1] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="sample table"):
             SnapshotSet.load(tmp_path / "ds")
 
     def test_matrices_must_match_samples(self, tmp_path, dataset80_small):

@@ -126,6 +126,22 @@ class TestProjectReconstruct:
         back = pod.project(basis, pod.reconstruct(basis, k))
         assert np.allclose(back, k, atol=1e-8)
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        L=st.integers(min_value=1, max_value=7),
+        m=st.integers(min_value=1, max_value=4),
+        scale=st.floats(min_value=1e-3, max_value=1e3),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_project_after_reconstruct_is_identity(self, seed, L, m, scale):
+        # the modes are orthonormal, so projecting a reconstruction returns
+        # its coefficients, for any basis, truncation and coefficient stack
+        basis = pod.fit(toy_matrix(30, 8, seed=seed), L)
+        coeff = scale * np.random.default_rng(seed).standard_normal((L, m))
+        back = pod.project(basis, pod.reconstruct(basis, coeff))
+        assert back.shape == (L, m)
+        assert np.allclose(back, coeff, rtol=1e-9, atol=1e-9 * scale)
+
     def test_zero_coefficients_give_mean(self):
         basis = pod.fit(toy_matrix(30, 8, seed=11), 4)
         assert np.allclose(pod.reconstruct(basis, np.zeros(4)), basis.mean_field)

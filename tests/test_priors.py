@@ -74,7 +74,7 @@ class TestNoiseEstimator:
     def test_surrogate_noise_increases_with_mode(self, dataset200):
         train, calib, _ = rom.split(dataset200)
         basis = pod.fit(train, 40)
-        estimate = priors.estimate_noise(basis, calib)
+        estimate = priors.estimate_noise(basis, calib.matrix(), calib.half_matrix())
         assert np.all(estimate.per_mode >= 0.0)
         assert estimate.fit_exponent > 0.0
         # default surrogate noise is tuned to the reported prefactor's decade

@@ -4,7 +4,7 @@ import pytest
 from plumerom import ConfigError, DataError
 from plumerom import gpr, pod, rom, smx
 from plumerom.plume import Grid, generate_dataset
-from plumerom.sampling import to_physical, to_unit
+from plumerom.sampling import to_unit
 from conftest import regenerate
 
 
@@ -44,8 +44,8 @@ class TestSplit:
 
     def test_disjoint_cover_in_order(self, tiny_dataset):
         train, calib, test = rom.split(tiny_dataset, (0.6, 0.15, 0.25))
-        indices = [s.mu.index for s in train.snapshots + calib.snapshots + test.snapshots]
-        assert indices == [s.mu.index for s in tiny_dataset.snapshots]
+        indices = np.concatenate([train.index, calib.index, test.index]).tolist()
+        assert indices == tiny_dataset.index.tolist()
         assert len(set(indices)) == len(tiny_dataset)
 
     def test_empty_subset_rejected(self, space):
@@ -114,15 +114,18 @@ class TestPredict:
         assert rel <= 2e-2
 
     def test_outside_space_refused(self, tiny_model):
+        # u_zc past the top of its interval, in unit-cube coordinates
         with pytest.raises(ConfigError):
-            rom.predict(tiny_model, np.array([12.0, 1e-2, 0.0, 0.5]))
+            rom.predict(tiny_model, np.array([1.5, 0.5, 0.5, 0.5]))
 
     def test_exclusion_box_refused(self, tiny_model):
-        with pytest.raises(ConfigError):
-            rom.predict(tiny_model, np.array([6.0, 1e-2, 0.5, 0.5]))
+        unit = to_unit([6.0, 1e-2, 0.5, 0.5], tiny_model.space)
+        with pytest.raises(ConfigError, match="exclusion box"):
+            rom.predict(tiny_model, unit)
 
     def test_nominal_point_accepted(self, tiny_model):
-        fld, mean, var = rom.predict(tiny_model, np.array([5.78, 2.79e-2, -1.01, 0.830]))
+        unit = to_unit([5.78, 2.79e-2, -1.01, 0.830], tiny_model.space)
+        fld, mean, var = rom.predict(tiny_model, unit)
         assert fld.shape == (tiny_model.grid.n_nodes,)
         assert mean.shape == (tiny_model.L,)
         assert np.all(var >= 0.0)
@@ -147,8 +150,7 @@ class TestPredict:
             grid=tiny_model.grid, channel=tiny_model.channel,
         )
         unit = np.array([0.513, 0.487, 0.052, 0.951])
-        sample = to_physical(unit, model.space)
-        fld, coeff, _ = rom.predict(model, sample)
+        fld, coeff, _ = rom.predict(model, unit)
         assert np.abs(coeff).max() <= 1e-6
         assert np.allclose(fld, model.basis.mean_field, atol=1e-6)
 
@@ -164,10 +166,21 @@ class TestPredict:
         with pytest.raises(ConfigError):
             rom.predict_fields(tiny_model, np.array(points))
 
+    @pytest.mark.parametrize("unit", [
+        [0.5, np.nan, 0.5, 0.5],
+        [0.5, 0.5, 0.5, 1.2],
+        [0.5, 0.5, 0.5],
+        [0.5, 0.5, 0.5, 0.5, 0.5],
+    ], ids=["nan", "above-1", "width-3", "width-5"])
+    def test_predict_rejects_bad_point(self, tiny_model, unit):
+        with pytest.raises(ConfigError):
+            rom.predict(tiny_model, np.array(unit))
+
     def test_continuous_in_mu(self, tiny_model):
         base = np.array([5.5, 2e-2, -2.0, 1.5])
-        f0, _, _ = rom.predict(tiny_model, base)
-        f1, _, _ = rom.predict(tiny_model, base + np.array([1e-6, 0, 1e-6, 1e-6]))
+        step = np.array([1e-6, 0, 1e-6, 1e-6])
+        f0, _, _ = rom.predict(tiny_model, to_unit(base, tiny_model.space))
+        f1, _, _ = rom.predict(tiny_model, to_unit(base + step, tiny_model.space))
         assert np.linalg.norm(f1 - f0) / np.linalg.norm(f0) < 1e-3
 
 
@@ -283,9 +296,9 @@ class TestPersistence:
         a = rom.predict_fields(tiny_model, test_set.unit_inputs())
         b = rom.predict_fields(loaded, test_set.unit_inputs())
         assert np.array_equal(a, b)
-        for mu in test_set.samples:
-            _, mean_a, var_a = rom.predict(tiny_model, mu)
-            _, mean_b, var_b = rom.predict(loaded, mu)
+        for unit in test_set.unit:
+            _, mean_a, var_a = rom.predict(tiny_model, unit)
+            _, mean_b, var_b = rom.predict(loaded, unit)
             assert np.array_equal(mean_a, mean_b)
             assert np.array_equal(var_a, var_b)
         assert loaded.method == tiny_model.method
@@ -329,9 +342,9 @@ class TestRobustnessSweep:
         assert [r["size"] for r in results] == [12, 24]
         for r in results:
             l_max = int(round(0.9 * r["size"])) - 1
-            assert 1 <= r["L_opt"] <= l_max
+            assert r["L"] == l_max
             assert set(r["q2_by_L"]) == set(range(1, l_max + 1))
-            assert r["q2_global"] == max(r["q2_by_L"].values())
+            assert r["q2_global"] == r["q2_by_L"][l_max]
             assert len(r["q2_per_mode"]) == l_max
 
     def test_q2_by_L_matches_explicit_reconstruction(self, space):

@@ -8,6 +8,7 @@ from scipy import integrate
 
 from plumerom import ConfigError, ParameterSpace
 from plumerom.sampling import (
+    check_unit,
     design,
     friction_velocity,
     halton_point,
@@ -60,31 +61,72 @@ class TestHalton:
         assert d[1] < d[0] / 4  # order-of-magnitude style decrease
 
 
+class TestParameterSpace:
+    def test_bounds_in_coordinate_order(self, space):
+        assert space.bounds == (space.u_zc_bounds, space.z0_bounds,
+                                space.x_src_bounds, space.z_src_bounds)
+
+    def test_dict_round_trip(self, space):
+        shifted = ParameterSpace(u_zc_bounds=(6.0, 12.0), z_c=12.0)
+        assert ParameterSpace.from_dict(shifted.to_dict()) == shifted
+        assert list(space.to_dict())[:4] == ["u_zc_bounds", "z0_bounds",
+                                             "x_src_bounds", "z_src_bounds"]
+
+    def test_empty_interval_rejected(self):
+        with pytest.raises(ConfigError, match="x_src_bounds"):
+            ParameterSpace(x_src_bounds=(1.0, 1.0))
+
+    def test_contains_needs_every_coordinate(self, space):
+        assert space.contains([6.0, 1e-2, 0.0, 1.0])
+        assert not space.contains([6.0, 1e-2, 0.0, 2.5])
+        with pytest.raises(ValueError):
+            space.contains([6.0, 1e-2, 0.0])
+
+
+class TestCheckUnit:
+    def test_returns_the_float_table(self, space):
+        points = check_unit([[0.0, 0.5, 1.0, 0.25], [1, 1, 0, 0]], space)
+        assert points.dtype == float and points.shape == (2, 4)
+        table = np.full((3, 4), 0.5)
+        assert check_unit(table, space) is table
+
+    @pytest.mark.parametrize("points", [
+        [[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5]],
+        [[0.5, 0.5, 0.5, "a"]],
+    ], ids=["ragged", "text"])
+    def test_rejects_what_is_not_a_table(self, space, points):
+        # NaN, Inf, out-of-cube and mis-shaped arrays are rejected through
+        # rom.predict_fields in test_rom.py
+        with pytest.raises(ConfigError):
+            check_unit(points, space)
+
+
 class TestToPhysical:
     def test_z0_log_midpoint(self, space):
-        sample = to_physical([0.0, 0.5, 0.9, 0.9], space)
-        assert sample.z0 == pytest.approx(1e-2, rel=1e-12)
+        physical = to_physical([0.0, 0.5, 0.9, 0.9], space)
+        assert physical[1] == pytest.approx(1e-2, rel=1e-12)
 
     def test_u_zc_endpoints(self, space):
-        assert to_physical([0.0, 0.5, 0.9, 0.9], space).u_zc == pytest.approx(3.0)
-        assert to_physical([1.0, 0.5, 0.9, 0.9], space).u_zc == pytest.approx(9.0)
+        assert to_physical([0.0, 0.5, 0.9, 0.9], space)[0] == pytest.approx(3.0)
+        assert to_physical([1.0, 0.5, 0.9, 0.9], space)[0] == pytest.approx(9.0)
 
     def test_exclusion_box_flag(self, space):
-        sample = to_physical([0.2, 0.2, 0.5, 0.5], space)
-        assert sample.x_src == pytest.approx(0.0)
-        assert sample.z_src == pytest.approx(1.1)
-        assert sample.rejected
+        physical = to_physical([0.2, 0.2, 0.5, 0.5], space)
+        assert physical[2] == pytest.approx(0.0)
+        assert physical[3] == pytest.approx(1.1)
+        assert space.in_exclusion_box(*physical[2:])
 
     def test_out_of_cube_rejected(self, space):
         with pytest.raises(ConfigError):
             to_physical([1.2, 0.5, 0.5, 0.5], space)
+        with pytest.raises(ConfigError):
+            to_physical([0.5, 0.5, 0.5], space)
 
     @given(u=st.tuples(UNIT_COORD, UNIT_COORD, UNIT_COORD, UNIT_COORD))
     @settings(max_examples=50, deadline=None)
     def test_round_trip(self, u):
         space = ParameterSpace()
-        sample = to_physical(np.array(u), space)
-        back = to_unit(sample.physical, space)
+        back = to_unit(to_physical(np.array(u), space), space)
         assert np.allclose(back, u, atol=1e-12)
 
     @given(
@@ -98,8 +140,8 @@ class TestToPhysical:
         base = np.full(4, 0.4)
         lo, hi = base.copy(), base.copy()
         lo[dim], hi[dim] = u, u + delta
-        a = to_physical(lo, space).physical[dim]
-        b = to_physical(hi, space).physical[dim]
+        a = to_physical(lo, space)[dim]
+        b = to_physical(hi, space)[dim]
         assert b > a
 
 
@@ -185,27 +227,33 @@ class TestMarginalStatistics:
 
 class TestDesign:
     def test_single_sample_deterministic(self, space):
-        d1 = design(space, 1, 1)
-        d2 = design(space, 1, 1)
-        assert d1.samples[0].index == d2.samples[0].index
-        assert np.array_equal(d1.samples[0].unit, d2.samples[0].unit)
+        index1, unit1, _, _ = design(space, 1, 1)
+        index2, unit2, _, _ = design(space, 1, 1)
+        assert index1[0] == index2[0]
+        assert np.array_equal(unit1[0], unit2[0])
+
+    def test_table_rows_are_halton_points(self, space):
+        index, unit, physical, _ = design(space, 50, 1)
+        assert index.shape == (50,) and unit.shape == physical.shape == (50, 4)
+        for i, u, p in zip(index, unit, physical):
+            assert np.array_equal(u, halton_point(int(i), 4))
+            assert np.array_equal(p, to_physical(u, space))
 
     def test_all_samples_admissible(self, space):
-        d = design(space, 100, 1)
-        for s in d.samples:
-            assert not space.in_exclusion_box(s.x_src, s.z_src)
-            assert space.contains(s.physical)
+        _, _, physical, _ = design(space, 100, 1)
+        for p in physical:
+            assert not space.in_exclusion_box(p[2], p[3])
+            assert space.contains(p)
 
     def test_extendable_from_recorded_indices(self, space):
-        d_all = design(space, 30, 1)
-        next_index = d_all.samples[14].index + 1
-        d_tail = design(space, 15, next_index)
-        for a, b in zip(d_all.samples[15:], d_tail.samples):
-            assert a.index == b.index
-            assert np.array_equal(a.unit, b.unit)
+        index_all, unit_all, _, _ = design(space, 30, 1)
+        next_index = index_all[14] + 1
+        index_tail, unit_tail, _, _ = design(space, 15, next_index)
+        assert np.array_equal(index_all[15:], index_tail)
+        assert np.array_equal(unit_all[15:], unit_tail)
 
     def test_skips_are_counted(self, space):
-        d = design(space, 200, 1)
-        consumed = d.samples[-1].index
-        assert consumed == 200 + d.n_skipped or consumed <= 200 + d.n_skipped
-        assert d.n_skipped > 0  # the box removes a visible fraction
+        index, _, _, n_skipped = design(space, 200, 1)
+        consumed = index[-1]
+        assert consumed == 200 + n_skipped or consumed <= 200 + n_skipped
+        assert n_skipped > 0  # the box removes a visible fraction
